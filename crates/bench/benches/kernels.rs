@@ -12,11 +12,11 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use setsig_core::kernel;
 
-/// The `parallel_scan` instance's slice width: ~99k rows spanning 3 full
-/// slice pages plus a partial fourth, so the 12,413-byte slices are NOT a
-/// multiple of 8 — the alignment case the byte bridge's per-word bounds
-/// branch pays for (at 8-aligned widths LLVM vectorizes both sides and
-/// the gap closes; real instances are almost never 8-aligned).
+/// A slice width of ~99k rows spanning 3 full slice pages plus a partial
+/// fourth, so the 12,413-byte slices are NOT a multiple of 8 — the
+/// alignment case the byte bridge's per-word bounds branch pays for (at
+/// 8-aligned widths LLVM vectorizes both sides and the gap closes; real
+/// instances are almost never 8-aligned).
 const NBITS: u32 = 3 * 32_768 + 1_000;
 /// Slices ANDed per ⊇ scan — a D_q = 3 query at the fig-4 design point
 /// reads ~100 slices; 48 keeps the AND alive to the end at 97% density.

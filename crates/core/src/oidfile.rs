@@ -194,13 +194,23 @@ impl OidFile {
     // COST: oid_pages pages
     pub fn delete_by_oid(&mut self, oid: Oid) -> Result<u64> {
         let npages = self.file.len()?;
+        let target = oid.raw();
         for page_no in 0..npages {
             let page = self.file.read(page_no)?;
             let base = page_no as u64 * OIDS_PER_PAGE;
             let slots = (self.len - base).min(OIDS_PER_PAGE) as usize;
+            // A branch-free pass decides whether the OID is on this page
+            // (it vectorizes); only the one page that holds it pays for the
+            // slot-by-slot search below.
+            let here = (0..slots).fold(false, |hit, s| {
+                hit | (page.read_u64(s * OID_ENTRY_BYTES) == target)
+            });
+            if !here {
+                continue;
+            }
             for s in 0..slots {
                 let raw = page.read_u64(s * OID_ENTRY_BYTES);
-                if raw == oid.raw() {
+                if raw == target {
                     let pos = base + s as u64;
                     // One write to set the flag; the page is already in
                     // hand so a real system would not re-read it, but we

@@ -82,7 +82,6 @@ impl QueryObs {
             slices_touched: out.track_slices.then_some(slices),
             early_exit,
             logical_pages: stats.map(|s| s.logical_pages),
-            physical_pages: stats.map(|s| s.physical_pages),
             candidates: out.set.len() as u64,
             exact: out.set.exact,
             false_drops: None,

@@ -70,17 +70,15 @@ impl MeasuredQuery {
     }
 }
 
-/// Query-engine knobs for the measured facilities: how many scan threads
-/// and whether reads are routed through a buffer pool.
+/// Query-engine knobs for the measured facilities: whether reads are
+/// routed through a buffer pool, and how the query service is sharded.
 ///
-/// The default — one thread, no pool — is the paper's protocol, and every
+/// The default — no pool, one shard — is the paper's protocol, and every
 /// published number is measured that way. The knobs exist so each exhibit
-/// can be re-run serial vs. parallel (the candidate sets and logical page
-/// counts are identical by construction) or with a hot cache.
+/// can be re-run with a hot cache (the candidate sets and logical page
+/// counts are identical by construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for slice/signature scans (`1` = serial).
-    pub threads: usize,
     /// Buffer-pool capacity in frames; `None` leaves reads uncached.
     pub pool_pages: Option<usize>,
     /// Pinned in-RAM tier above the pool, in pages; requires `pool_pages`.
@@ -96,7 +94,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: 1,
             pool_pages: None,
             pinned_pages: None,
             shards: 1,
@@ -106,13 +103,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The paper's serial, uncached protocol.
+    /// The paper's uncached protocol.
     pub fn serial() -> Self {
         Self::default()
     }
 
-    /// Reads `SETSIG_THREADS` (scan worker count, default 1),
-    /// `SETSIG_POOL_PAGES` (buffer-pool frames, default none),
+    /// Reads `SETSIG_POOL_PAGES` (buffer-pool frames, default none),
     /// `SETSIG_PINNED_PAGES` (pinned tier above the pool, default none;
     /// requires `SETSIG_POOL_PAGES`), `SETSIG_SHARDS` (query-service
     /// shards, default 1), and `SETSIG_QUEUE_DEPTH` (service admission
@@ -120,7 +116,7 @@ impl EngineConfig {
     /// rebuild.
     ///
     /// Panics on an invalid value. A knob that silently fell back to the
-    /// serial default would let a typo masquerade as an 8-thread
+    /// uncached default would let a typo masquerade as a pooled
     /// measurement, which is exactly the kind of quiet corruption the
     /// harness must fail loudly on instead.
     pub fn from_env() -> Self {
@@ -135,11 +131,9 @@ impl EngineConfig {
     /// malformed input without mutating process-global state.
     ///
     /// Rules: an unset or empty/whitespace variable means "default";
-    /// anything else must parse as an integer ≥ 1 (zero threads cannot
-    /// scan, and a zero-frame pool is spelled by unsetting the variable).
-    /// Surrounding whitespace is tolerated. There is no upper clamp:
-    /// oversubscribed thread counts are legal, and the engines already cap
-    /// workers at the number of pages/slices to scan.
+    /// anything else must parse as an integer ≥ 1 (zero shards cannot
+    /// answer, and a zero-frame pool is spelled by unsetting the variable).
+    /// Surrounding whitespace is tolerated. There is no upper clamp.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         fn knob(name: &str, val: Option<String>) -> Result<Option<usize>, String> {
             let Some(v) = val.filter(|v| !v.trim().is_empty()) else {
@@ -166,7 +160,6 @@ impl EngineConfig {
             );
         }
         Ok(EngineConfig {
-            threads: knob("SETSIG_THREADS", get("SETSIG_THREADS"))?.unwrap_or(1),
             pool_pages,
             pinned_pages,
             shards: knob("SETSIG_SHARDS", get("SETSIG_SHARDS"))?.unwrap_or(1),
@@ -289,7 +282,6 @@ impl SimDb {
             .expect("fits page"),
             None => Ssf::create(self.io(), &name, cfg).expect("fits page"),
         };
-        ssf.set_parallelism(engine.threads);
         ssf.set_recorder(self.recorder.clone());
         for (i, set) in self.sets.iter().enumerate() {
             let keys: Vec<ElementKey> = set.iter().map(|&e| ElementKey::from(e)).collect();
@@ -320,7 +312,6 @@ impl SimDb {
             .expect("create"),
             None => Bssf::create(self.io(), &name, cfg).expect("create"),
         };
-        bssf.set_parallelism(engine.threads);
         bssf.set_recorder(self.recorder.clone());
         let items: Vec<(Oid, Vec<ElementKey>)> = self
             .sets
@@ -339,7 +330,7 @@ impl SimDb {
     }
 
     /// Builds a sharded BSSF query service over the instance, with engine
-    /// knobs (shard count, queue depth, scan threads, pool pages) from the
+    /// knobs (shard count, queue depth, pool pages) from the
     /// environment. With `SETSIG_SHARDS` unset this is a 1-shard service
     /// whose answers and page charges are identical to [`build_bssf`]
     /// (see [`Self::build_bssf`]) — which is what lets the drift gates run
@@ -384,7 +375,6 @@ impl SimDb {
                     .expect("create"),
                     None => Bssf::create(self.io(), &name, cfg).expect("create"),
                 };
-                bssf.set_parallelism(engine.threads);
                 bssf.set_recorder(self.recorder.clone());
                 bssf.bulk_load(items).expect("bulk load");
                 bssf
@@ -474,9 +464,8 @@ impl SimDb {
         let after_filter = disk.snapshot();
         // The paper's RC charges the serial protocol's page accesses. A
         // call that returns its own scan stats reports exactly that logical
-        // count whatever its engine does physically (thread speculation,
-        // pool hits); calls without stats (NIX) run serial and unbuffered,
-        // where the disk delta is the same number.
+        // count whatever the disk sees (pool hits); calls without stats
+        // (NIX) run unbuffered, where the disk delta is the same number.
         let filter_pages = stats
             .map(|s| s.logical_pages)
             .unwrap_or_else(|| after_filter.since(start).accesses());
@@ -533,7 +522,7 @@ mod tests {
         );
         assert_eq!(
             EngineConfig::from_lookup(lookup(&[
-                ("SETSIG_THREADS", ""),
+                ("SETSIG_SHARDS", ""),
                 ("SETSIG_POOL_PAGES", "   "),
             ]))
             .unwrap(),
@@ -543,12 +532,7 @@ mod tests {
 
     #[test]
     fn engine_env_parses_valid_values_with_whitespace() {
-        let cfg = EngineConfig::from_lookup(lookup(&[
-            ("SETSIG_THREADS", " 8 "),
-            ("SETSIG_POOL_PAGES", "256"),
-        ]))
-        .unwrap();
-        assert_eq!(cfg.threads, 8);
+        let cfg = EngineConfig::from_lookup(lookup(&[("SETSIG_POOL_PAGES", " 256 ")])).unwrap();
         assert_eq!(cfg.pool_pages, Some(256));
     }
 
@@ -576,9 +560,9 @@ mod tests {
     #[test]
     fn engine_env_rejects_zero_negative_and_garbage() {
         for bad in ["0", "-3", "eight", "2.5", "1e3"] {
-            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_THREADS", bad)])).unwrap_err();
+            let err = EngineConfig::from_lookup(lookup(&[("SETSIG_SHARDS", bad)])).unwrap_err();
             assert!(
-                err.contains("SETSIG_THREADS") && err.contains(bad),
+                err.contains("SETSIG_SHARDS") && err.contains(bad),
                 "error must name the variable and value: {err}"
             );
         }
@@ -687,12 +671,12 @@ mod tests {
     #[test]
     fn engine_config_variants_measure_identically() {
         let sim = SimDb::build(small_cfg());
-        let serial = sim.build_bssf_with(128, 2, EngineConfig::serial());
-        let parallel = sim.build_bssf_with(
+        let plain = sim.build_bssf_with(128, 2, EngineConfig::serial());
+        let cached = sim.build_bssf_with(
             128,
             2,
             EngineConfig {
-                threads: 4,
+                pool_pages: Some(64),
                 ..EngineConfig::serial()
             },
         );
@@ -705,8 +689,8 @@ mod tests {
                     .map(ElementKey::from)
                     .collect(),
             );
-            let (a, sa) = serial.candidates_with_stats(&q).unwrap();
-            let (b, sb) = parallel.candidates_with_stats(&q).unwrap();
+            let (a, sa) = plain.candidates_with_stats(&q).unwrap();
+            let (b, sb) = cached.candidates_with_stats(&q).unwrap();
             assert_eq!(a, b, "trial {trial}");
             assert_eq!(
                 sa.expect("bssf reports stats").logical_pages,
@@ -715,18 +699,18 @@ mod tests {
             );
             // The exhibits' measured RC must not depend on the engine:
             // measure_facility charges the logical scan pages, not the
-            // (speculation- and cache-dependent) physical disk delta.
-            let ms = sim.measure_facility(&serial, &q);
-            let mp = sim.measure_facility(&parallel, &q);
-            assert_eq!(ms.filter_pages, mp.filter_pages, "trial {trial}");
-            assert_eq!(ms.total_pages(), mp.total_pages(), "trial {trial}");
+            // cache-dependent disk delta.
+            let mp = sim.measure_facility(&plain, &q);
+            let mc = sim.measure_facility(&cached, &q);
+            assert_eq!(mp.filter_pages, mc.filter_pages, "trial {trial}");
+            assert_eq!(mp.total_pages(), mc.total_pages(), "trial {trial}");
         }
-        // A pooled engine still answers identically.
+        assert!(cached.cache_stats().is_some());
+        // A pooled SSF still answers identically.
         let cached = sim.build_ssf_with(
             128,
             2,
             EngineConfig {
-                threads: 2,
                 pool_pages: Some(64),
                 ..EngineConfig::serial()
             },

@@ -73,7 +73,6 @@ impl Nix {
             slices_touched: None,
             early_exit: false,
             logical_pages: None,
-            physical_pages: None,
             candidates: set.len() as u64,
             exact: set.exact,
             false_drops: None,

@@ -76,11 +76,6 @@ impl Recorder {
                 .histogram(&format!("{f}.logical_pages"))
                 .record(p);
         }
-        if let Some(p) = ev.physical_pages {
-            self.registry
-                .histogram(&format!("{f}.physical_pages"))
-                .record(p);
-        }
         self.registry
             .counter(&format!("{f}.candidates"))
             .add(ev.candidates);
@@ -133,7 +128,6 @@ mod tests {
             slices_touched: Some(4),
             early_exit: false,
             logical_pages: Some(5),
-            physical_pages: Some(5),
             candidates: 3,
             exact: false,
             false_drops: Some(1),

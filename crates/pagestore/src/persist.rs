@@ -44,18 +44,28 @@ impl Disk {
 
     /// Loads a disk image previously written by [`Disk::save_to`]. All
     /// counters start from zero.
+    ///
+    /// Every count in the image is checked against the bytes left in the
+    /// file before anything is allocated for it, so a corrupt or hostile
+    /// header yields [`Error::CorruptImage`] rather than a huge allocation.
     pub fn load_from(path: &Path) -> Result<Disk> {
-        let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
+        let file = std::fs::File::open(path)?;
+        let left = file.metadata()?.len();
+        let mut input = ImageReader {
+            input: std::io::BufReader::new(file),
+            left,
+        };
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(Error::CorruptImage("bad magic".into()));
         }
-        let nfiles = read_u32(&mut input)?;
-        let mut files = Vec::with_capacity(nfiles as usize);
+        // A file entry is at least its slot, name length and page count.
+        let nfiles = input.count(12, "file")?;
+        let mut files = Vec::with_capacity(nfiles);
         for _ in 0..nfiles {
-            let slot = read_u32(&mut input)?;
-            let namelen = read_u32(&mut input)? as usize;
+            let slot = input.u32()?;
+            let namelen = input.count(1, "file name byte")?;
             if namelen > 1 << 20 {
                 return Err(Error::CorruptImage("file name too long".into()));
             }
@@ -63,8 +73,8 @@ impl Disk {
             input.read_exact(&mut name)?;
             let name = String::from_utf8(name)
                 .map_err(|_| Error::CorruptImage("file name not utf-8".into()))?;
-            let npages = read_u32(&mut input)?;
-            let mut pages = Vec::with_capacity(npages as usize);
+            let npages = input.count(PAGE_SIZE as u64, "page")?;
+            let mut pages = Vec::with_capacity(npages);
             for _ in 0..npages {
                 let mut buf = [0u8; PAGE_SIZE];
                 input.read_exact(&mut buf)?;
@@ -85,10 +95,37 @@ impl Disk {
     }
 }
 
-fn read_u32(r: &mut impl Read) -> Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+/// An image file being decoded, with the number of bytes not yet read.
+struct ImageReader {
+    input: std::io::BufReader<std::fs::File>,
+    left: u64,
+}
+
+impl ImageReader {
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
+        self.input.read_exact(buf)?;
+        self.left = self.left.saturating_sub(buf.len() as u64);
+        Ok(())
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        let mut buf = [0u8; 4];
+        self.read_exact(&mut buf)?;
+        Ok(u32::from_le_bytes(buf))
+    }
+
+    /// Reads a `u32` count of `what` items of at least `item_bytes` bytes
+    /// each, rejecting a count the rest of the file cannot hold.
+    fn count(&mut self, item_bytes: u64, what: &str) -> Result<usize> {
+        let n = self.u32()?;
+        if u64::from(n) * item_bytes > self.left {
+            return Err(Error::CorruptImage(format!(
+                "{what} count {n} exceeds the {} bytes left in the image",
+                self.left
+            )));
+        }
+        Ok(n as usize)
+    }
 }
 
 #[cfg(test)]
@@ -158,5 +195,42 @@ mod tests {
         assert!(Disk::load_from(&path).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes `bytes` as an image file and loads it.
+    fn load_bytes(tag: &str, bytes: &[u8]) -> Result<Disk> {
+        let dir = std::env::temp_dir().join(format!("setsig-persist-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.bin");
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = Disk::load_from(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        loaded
+    }
+
+    #[test]
+    fn huge_file_count_is_corrupt_not_an_abort() {
+        let mut img = MAGIC.to_vec();
+        img.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            load_bytes("nfiles", &img),
+            Err(Error::CorruptImage(msg)) if msg.contains("file count")
+        ));
+    }
+
+    #[test]
+    fn huge_page_count_is_corrupt_not_an_abort() {
+        // 25 bytes: magic, one file in slot 0 named "x", npages = u32::MAX.
+        let mut img = MAGIC.to_vec();
+        img.extend_from_slice(&1u32.to_le_bytes());
+        img.extend_from_slice(&0u32.to_le_bytes());
+        img.extend_from_slice(&1u32.to_le_bytes());
+        img.push(b'x');
+        img.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(img.len(), 25);
+        assert!(matches!(
+            load_bytes("npages", &img),
+            Err(Error::CorruptImage(msg)) if msg.contains("page count")
+        ));
     }
 }

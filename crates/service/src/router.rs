@@ -256,28 +256,16 @@ mod tests {
         let parts = vec![
             (
                 CandidateSet::new(vec![Oid::new(4), Oid::new(1)], false),
-                Some(ScanStats {
-                    logical_pages: 3,
-                    physical_pages: 4,
-                }),
+                Some(ScanStats { logical_pages: 3 }),
             ),
             (
                 CandidateSet::new(vec![Oid::new(2)], false),
-                Some(ScanStats {
-                    logical_pages: 5,
-                    physical_pages: 5,
-                }),
+                Some(ScanStats { logical_pages: 5 }),
             ),
         ];
         let (set, stats) = merge_parts(parts);
         assert_eq!(set.oids, vec![Oid::new(1), Oid::new(2), Oid::new(4)]);
-        assert_eq!(
-            stats,
-            Some(ScanStats {
-                logical_pages: 8,
-                physical_pages: 9
-            })
-        );
+        assert_eq!(stats, Some(ScanStats { logical_pages: 8 }));
     }
 
     #[test]

@@ -60,10 +60,7 @@ impl SetAccessFacility for MockFacility {
             .collect();
         Ok((
             CandidateSet::new(oids, true),
-            Some(ScanStats {
-                logical_pages: 1,
-                physical_pages: 1,
-            }),
+            Some(ScanStats { logical_pages: 1 }),
         ))
     }
 

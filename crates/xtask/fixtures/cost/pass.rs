@@ -54,19 +54,6 @@ pub fn kernel(a: u64, b: u64) -> u64 {
     a & b
 }
 
-/// A work-partitioning spawn loop multiplies nothing: the annotated
-/// `for` distributes disjoint slice claims across workers, so the claim
-/// loop under it is the only extra level and degree 2 still holds.
-// COST: slices * pages_per_slice pages
-pub fn and_parallel(workers: u32, ones: &[u32]) {
-    // COST-SPLIT: slices
-    for _ in 0..workers {
-        loop {
-            read_slice(8);
-        }
-    }
-}
-
 /// An uncontracted entry point that only *enters* a composite (degree
 /// ≥ 1) contract is sanctioned: the callee's bound accounts the pages.
 pub fn service_entry(ones: &[u32]) {

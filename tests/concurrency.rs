@@ -69,78 +69,10 @@ fn parallel_queries_agree_with_serial_answers() {
 }
 
 #[test]
-fn parallel_engine_matches_serial_sets_and_counts() {
-    // The tentpole invariant, end to end: a BSSF with 8 scan workers must
-    // report byte-identical candidate sets and identical logical
-    // page-access counts to the serial engine, on every predicate shape.
-    let items: Vec<(Oid, Vec<ElementKey>)> = (0..2000u64)
-        .map(|i| {
-            (
-                Oid::new(i),
-                (0..6).map(|j| ElementKey::from(i * 5 + j)).collect(),
-            )
-        })
-        .collect();
-    let build = |threads: usize| {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "p", SignatureConfig::new(256, 3).unwrap()).unwrap();
-        b.bulk_load(&items).unwrap();
-        b.set_parallelism(threads);
-        (disk, b)
-    };
-    let (serial_disk, serial) = build(1);
-    let (_par_disk, parallel) = build(8);
-
-    let mut queries: Vec<SetQuery> = (0..12u64)
-        .flat_map(|t| {
-            let base = t * 160;
-            vec![
-                SetQuery::has_subset(vec![
-                    ElementKey::from(base * 5),
-                    ElementKey::from(base * 5 + 1),
-                ]),
-                SetQuery::in_subset((0..8).map(|j| ElementKey::from(base * 5 + j)).collect()),
-                SetQuery::equals((0..6).map(|j| ElementKey::from(base * 5 + j)).collect()),
-                SetQuery::overlaps(vec![ElementKey::from(base * 5 + 2)]),
-            ]
-        })
-        .collect();
-    // A miss query so the superset early exit (and its speculation
-    // window) is exercised.
-    queries.push(SetQuery::has_subset(
-        (0..6)
-            .map(|j| ElementKey::from(10_000_000 + j))
-            .collect::<Vec<ElementKey>>(),
-    ));
-
-    for q in &queries {
-        serial_disk.reset_stats();
-        let (cs, ss) = serial.candidates_with_stats(q).unwrap();
-        let ss = ss.expect("bssf reports per-query stats");
-        let (cp, sp) = parallel.candidates_with_stats(q).unwrap();
-        let sp = sp.expect("bssf reports per-query stats");
-        assert_eq!(cs, cp, "candidate sets diverged on {:?}", q.predicate);
-        assert_eq!(
-            ss.logical_pages, sp.logical_pages,
-            "logical page counts diverged on {:?}",
-            q.predicate
-        );
-        // On the serial engine the logical charge IS the disk traffic of
-        // the filtering stage (drop resolution adds OID-file reads on top).
-        assert_eq!(ss.logical_pages, ss.physical_pages);
-        assert!(serial_disk.snapshot().reads >= ss.physical_pages);
-        assert!(
-            sp.physical_pages >= sp.logical_pages,
-            "parallel physical can only overshoot"
-        );
-    }
-}
-
-#[test]
-fn parallel_engine_is_safe_under_concurrent_callers() {
-    // Queries on a parallel-engined BSSF issued from many caller threads at
-    // once: nested scoped-thread fan-out must stay correct.
+fn shared_serial_facilities_are_safe_under_concurrent_callers() {
+    // Every scan runs serially on its caller's thread, so concurrency comes
+    // only from callers sharing one facility. More callers than cores, on
+    // every predicate shape, must each see the serial answer and charge.
     let items: Vec<(Oid, Vec<ElementKey>)> = (0..500u64)
         .map(|i| {
             (
@@ -150,18 +82,36 @@ fn parallel_engine_is_safe_under_concurrent_callers() {
         })
         .collect();
     let disk = Arc::new(Disk::new());
-    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-    let mut bssf = Bssf::create(io, "c", SignatureConfig::new(128, 2).unwrap()).unwrap();
+    let io = || Arc::clone(&disk) as Arc<dyn PageIo>;
+    let cfg = || SignatureConfig::new(128, 2).unwrap();
+    let mut bssf = Bssf::create(io(), "c", cfg()).unwrap();
     bssf.bulk_load(&items).unwrap();
-    bssf.set_parallelism(4);
+    let mut ssf = Ssf::create(io(), "s", cfg()).unwrap();
+    for (oid, set) in &items {
+        ssf.insert(*oid, set).unwrap();
+    }
     let bssf = Arc::new(bssf);
+    let ssf = Arc::new(ssf);
 
     let queries: Vec<SetQuery> = (0..8u64)
-        .map(|t| SetQuery::has_subset(vec![ElementKey::from(t * 70 * 7)]))
+        .map(|t| {
+            let base = t * 70 * 7;
+            match t % 4 {
+                0 => SetQuery::has_subset(vec![ElementKey::from(base)]),
+                1 => SetQuery::in_subset((0..6).map(|j| ElementKey::from(base + j)).collect()),
+                2 => SetQuery::equals((0..4).map(|j| ElementKey::from(base + j)).collect()),
+                _ => SetQuery::overlaps(vec![ElementKey::from(base + 2)]),
+            }
+        })
         .collect();
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| bssf.candidates(q).unwrap())
+        .map(|q| {
+            (
+                bssf.candidates_with_stats(q).unwrap(),
+                ssf.candidates_with_stats(q).unwrap(),
+            )
+        })
         .collect();
     let handles: Vec<_> = queries
         .iter()
@@ -169,7 +119,14 @@ fn parallel_engine_is_safe_under_concurrent_callers() {
         .enumerate()
         .map(|(i, q)| {
             let b = Arc::clone(&bssf);
-            std::thread::spawn(move || (i, b.candidates(&q).unwrap()))
+            let s = Arc::clone(&ssf);
+            std::thread::spawn(move || {
+                let got = (
+                    b.candidates_with_stats(&q).unwrap(),
+                    s.candidates_with_stats(&q).unwrap(),
+                );
+                (i, got)
+            })
         })
         .collect();
     for h in handles {
@@ -192,61 +149,56 @@ fn concurrent_queries_each_observe_their_own_scan_stats() {
             )
         })
         .collect();
-    for threads in [1usize, 4] {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "r", SignatureConfig::new(256, 3).unwrap()).unwrap();
-        b.bulk_load(&items).unwrap();
-        b.set_parallelism(threads);
-        let bssf = Arc::new(b);
+    let disk = Arc::new(Disk::new());
+    let io = Arc::clone(&disk) as Arc<dyn PageIo>;
+    let mut b = Bssf::create(io, "r", SignatureConfig::new(256, 3).unwrap()).unwrap();
+    b.bulk_load(&items).unwrap();
+    let bssf = Arc::new(b);
 
-        // A cheap query (superset, early exit on a miss) and an expensive
-        // one (subset reads every zero slice of the query signature).
-        let q_cheap = SetQuery::has_subset(
-            (0..5)
-                .map(|j| ElementKey::from(20_000_000 + j))
-                .collect::<Vec<ElementKey>>(),
-        );
-        let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
-        let baselines: Vec<_> = [&q_cheap, &q_costly]
-            .iter()
-            .map(|q| {
-                let (set, stats) = bssf.candidates_with_stats(q).unwrap();
-                (set, stats.expect("bssf reports per-query stats"))
-            })
-            .collect();
-        assert_ne!(
-            baselines[0].1.logical_pages, baselines[1].1.logical_pages,
-            "queries must differ in cost for the race to be observable"
-        );
+    // A cheap query (superset, early exit on a miss) and an expensive
+    // one (subset reads every zero slice of the query signature).
+    let q_cheap = SetQuery::has_subset(
+        (0..5)
+            .map(|j| ElementKey::from(20_000_000 + j))
+            .collect::<Vec<ElementKey>>(),
+    );
+    let q_costly = SetQuery::in_subset((0..9).map(ElementKey::from).collect());
+    let baselines: Vec<_> = [&q_cheap, &q_costly]
+        .iter()
+        .map(|q| {
+            let (set, stats) = bssf.candidates_with_stats(q).unwrap();
+            (set, stats.expect("bssf reports per-query stats"))
+        })
+        .collect();
+    assert_ne!(
+        baselines[0].1.logical_pages, baselines[1].1.logical_pages,
+        "queries must differ in cost for the race to be observable"
+    );
 
-        let handles: Vec<_> = [q_cheap, q_costly]
-            .into_iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let b = Arc::clone(&bssf);
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..25 {
-                        let (set, stats) = b.candidates_with_stats(&q).unwrap();
-                        out.push((set, stats.expect("bssf reports per-query stats")));
-                    }
-                    (i, out)
-                })
+    let handles: Vec<_> = [q_cheap, q_costly]
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let b = Arc::clone(&bssf);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                for _ in 0..25 {
+                    let (set, stats) = b.candidates_with_stats(&q).unwrap();
+                    out.push((set, stats.expect("bssf reports per-query stats")));
+                }
+                (i, out)
             })
-            .collect();
-        for h in handles {
-            let (i, runs) = h.join().expect("no panics under concurrency");
-            let (want_set, want_stats) = &baselines[i];
-            for (set, stats) in runs {
-                assert_eq!(&set, want_set, "query {i} candidates diverged");
-                assert_eq!(
-                    stats.logical_pages, want_stats.logical_pages,
-                    "query {i} logical pages blended with the other query \
-                     (threads={threads})"
-                );
-                assert!(stats.physical_pages >= stats.logical_pages);
-            }
+        })
+        .collect();
+    for h in handles {
+        let (i, runs) = h.join().expect("no panics under concurrency");
+        let (want_set, want_stats) = &baselines[i];
+        for (set, stats) in runs {
+            assert_eq!(&set, want_set, "query {i} candidates diverged");
+            assert_eq!(
+                stats.logical_pages, want_stats.logical_pages,
+                "query {i} logical pages blended with the other query"
+            );
         }
     }
 }

@@ -169,7 +169,6 @@ fn smart_strategies_cap_reads_and_stay_sound() {
         "smart ⊇ charged {} pages",
         scan.logical_pages
     );
-    assert_eq!(scan.logical_pages, scan.physical_pages);
     // Full strategy reads more slices and yields a subset of the smart
     // strategy's drops (more slices ANDed → fewer candidates).
     let (full, full_scan) = bssf.candidates_with_stats(&q_sup).unwrap();
@@ -196,34 +195,6 @@ fn smart_strategies_cap_reads_and_stay_sound() {
     assert!(full_scan.unwrap().logical_pages >= 40);
     for oid in &full.oids {
         assert!(c.oids.contains(oid), "smart ⊆ drops must cover full drops");
-    }
-}
-
-#[test]
-fn smart_strategies_are_identical_under_parallel_engine() {
-    let sets = build_sets(1_500, 800, 10, 8);
-    let build = |threads: usize| {
-        let disk = Arc::new(Disk::new());
-        let io = Arc::clone(&disk) as Arc<dyn PageIo>;
-        let mut b = Bssf::create(io, "b", SignatureConfig::new(250, 2).unwrap()).unwrap();
-        b.bulk_load(&as_items(&sets)).unwrap();
-        b.set_parallelism(threads);
-        b
-    };
-    let serial = build(1);
-    let parallel = build(8);
-    for t in [3usize, 77, 501] {
-        let target: Vec<ElementKey> = sets[t].iter().map(|&e| ElementKey::from(e)).collect();
-        let q_sup = SetQuery::has_subset(target.clone());
-        let (cs, ss) = serial.candidates_superset_smart(&q_sup, 3).unwrap();
-        let (cp, sp) = parallel.candidates_superset_smart(&q_sup, 3).unwrap();
-        assert_eq!(cs, cp);
-        assert_eq!(ss.logical_pages, sp.logical_pages);
-        let q_sub = SetQuery::in_subset(target);
-        let (cs, ss) = serial.candidates_subset_smart(&q_sub, 30).unwrap();
-        let (cp, sp) = parallel.candidates_subset_smart(&q_sub, 30).unwrap();
-        assert_eq!(cs, cp);
-        assert_eq!(ss.logical_pages, sp.logical_pages);
     }
 }
 
