@@ -2,9 +2,10 @@
 //! fan-out at shard counts 1/2/4/8 over identical instances, and the
 //! live-update mix (inserts racing queries across shard locks).
 //!
-//! The 1-shard service answers through the same admission queue and
-//! worker pool as the sharded ones, so `pooled/1` vs `flat/1` isolates
-//! the pool overhead and `pooled/N` the sharding win. With
+//! The calling thread runs every query's shard 0 itself and only shards
+//! 1..N−1 go through the admission queue and worker pool, so `pooled/1`
+//! (no queue, no worker) vs `flat/1` isolates the service's fixed
+//! per-query cost and `pooled/N` the sharding win. With
 //! `BENCH_JSON=BENCH_service.json` the harness writes the summary CI
 //! uploads for the perf trajectory.
 

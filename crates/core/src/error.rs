@@ -1,5 +1,7 @@
 //! Error type for the signature-file layer.
 
+use std::borrow::Cow;
+
 /// Errors raised by signature files and their supporting structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
@@ -26,6 +28,15 @@ pub enum Error {
     Corrupted(String),
     /// An error from the underlying page store.
     Storage(setsig_pagestore::Error),
+    /// A facility panicked while answering one shard's part of a query.
+    /// The query service catches the panic, fails that query with this
+    /// error and keeps serving.
+    ShardPanicked {
+        /// The shard whose facility panicked.
+        shard: usize,
+        /// The panic's message, when it carried one.
+        message: Cow<'static, str>,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -43,6 +54,9 @@ impl std::fmt::Display for Error {
             Error::OidNotFound(oid) => write!(f, "oid {oid:?} not found"),
             Error::Corrupted(msg) => write!(f, "corrupted structure: {msg}"),
             Error::Storage(e) => write!(f, "storage error: {e}"),
+            Error::ShardPanicked { shard, message } => {
+                write!(f, "shard {shard} panicked: {message}")
+            }
         }
     }
 }

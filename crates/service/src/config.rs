@@ -14,12 +14,13 @@ use setsig_core::{Error, Result};
 pub struct ServiceConfig {
     /// Number of hash partitions (≥ 1). One facility instance per shard.
     pub shards: usize,
-    /// Bounded admission-queue depth in shard-tasks (≥ 1). A query fans
-    /// out into `shards` tasks admitted as one batch, so the effective
-    /// capacity is `max(queue_depth, shards)` — a single query always
-    /// fits.
+    /// Bounded admission-queue depth in shard-tasks (≥ 1). The caller
+    /// runs a query's shard 0 itself and admits the other `shards − 1`
+    /// parts as one batch; the effective capacity is
+    /// `max(queue_depth, shards)`, so a single query always fits.
     pub queue_depth: usize,
-    /// Worker threads draining the queue (≥ 1).
+    /// Worker threads draining the queue (≥ 1). A 1-shard service queues
+    /// nothing and starts none.
     pub workers: usize,
 }
 
@@ -28,8 +29,8 @@ impl ServiceConfig {
     pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
     /// A config for `shards` partitions: default queue depth, one worker
-    /// per shard (capped at 8 — beyond that the per-shard facilities'
-    /// own scan parallelism is the better lever).
+    /// per shard, capped at 8 so a wide shard count does not start a
+    /// thread per shard (override with [`with_workers`](Self::with_workers)).
     pub fn new(shards: usize) -> Self {
         ServiceConfig {
             shards,

@@ -5,10 +5,11 @@
 //! This crate is the serving layer above those facilities: the object
 //! store and its signature files are hash-partitioned into `N` shards
 //! by OID ([`shard_of`]), a [`ShardRouter`] gives each shard
-//! independent reader/writer access, and a [`QueryService`] fans every
-//! [`SetQuery`](setsig_core::SetQuery) across a worker pool — bounded
-//! admission queue, batched per-query admission, per-shard concurrent
-//! `candidates_with_stats`, and a merge ([`merge_parts`]) that unions
+//! independent reader/writer access, and a [`QueryService`] splits every
+//! [`SetQuery`](setsig_core::SetQuery) across the shards — the caller
+//! scans shard 0, a worker pool behind a bounded admission queue scans
+//! the rest (batched per-query admission, per-shard concurrent
+//! `candidates_with_stats`), and a merge ([`merge_parts`]) unions
 //! candidates and *conserves* the scan-page charge (merged stats are
 //! the exact sum of per-shard stats).
 //!

@@ -1,27 +1,36 @@
 //! The worker pool behind [`QueryService`]: a bounded admission queue of
 //! per-shard tasks, drained by a fixed set of worker threads.
 //!
-//! A query fans out into one task per shard, admitted as a single batch
-//! (all-or-nothing under the queue lock, so two queries' tasks never
-//! interleave partially when the queue is near capacity). Workers pop
-//! tasks, run the shard's filtering stage under that shard's read guard,
-//! and deposit the part; the last part to arrive wakes the waiter, which
-//! merges candidates and sums [`ScanStats`].
+//! A query over `N` shards splits into `N` parts. The submitting thread
+//! runs part 0 itself; parts `1..N` go to the queue as one batch of
+//! `N−1` tasks (all-or-nothing under the queue lock, so two queries'
+//! tasks never interleave partially when the queue is near capacity).
+//! At one shard nothing is queued, no worker exists, and the caller
+//! answers alone. Workers pop tasks, and every part — the caller's and
+//! the workers' — goes through [`run_part`]: the shard's filtering stage
+//! under that shard's read guard, then the part's deposit. The last part
+//! to arrive wakes the waiter, which merges candidates and sums
+//! [`ScanStats`]. A facility that panics fails its query with
+//! [`Error::ShardPanicked`]; the thread that ran the part carries on.
 //!
 //! The vendored `parking_lot` stand-in has no `Condvar`, so the queue and
-//! the per-query completion latch use `std::sync` primitives (the same
-//! choice as the BSSF scan pipeline). Their `lock()/wait()` poisoning
-//! `unwrap`s are justified in `crates/xtask/allow/panics.allow`: a
-//! poisoned lock means another worker panicked mid-update, and
+//! the per-query completion latch use `std::sync` primitives. Their
+//! `lock()/wait()` poisoning `unwrap`s are justified in
+//! `crates/xtask/allow/panics.allow`: no facility code runs under either
+//! lock, so a poisoned one means the pool's own bookkeeping panicked, and
 //! propagating that panic beats limping on with torn state.
 //!
 //! Lock DAG (see DESIGN.md): `service.admission` (the queue) and
 //! `service.pending` (a query's completion latch) are never held
 //! together, and neither is ever held while a shard lock
-//! (`service.shard`, in `router.rs`) is acquired — a worker finishes all
-//! queue bookkeeping, *then* touches the shard, *then* takes the latch.
+//! (`service.shard`, in `router.rs`) is acquired — a part's runner
+//! finishes all queue bookkeeping, *then* touches the shard, *then*
+//! takes the latch.
 
+use std::any::Any;
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -49,9 +58,9 @@ struct Pending {
     // LOCK-ORDER: service.pending leaf
     state: Mutex<PendingState>,
     finished: Condvar,
-    /// When the batch entered the queue — admission latency is measured
-    /// from here to each task's dequeue.
-    enqueued: Instant,
+    /// When the query was submitted — admission latency is measured from
+    /// here to the start of each part.
+    submitted: Instant,
 }
 
 struct PendingState {
@@ -89,6 +98,7 @@ impl Pending {
 }
 
 /// A handle to one submitted query; redeem with [`Ticket::wait`].
+#[must_use = "a query's answer is only observed through Ticket::wait"]
 pub struct Ticket {
     pending: Arc<Pending>,
 }
@@ -174,9 +184,10 @@ struct PoolInner<F> {
 }
 
 /// A sharded, concurrently-serving set access facility: OID-hash
-/// partitions behind a [`ShardRouter`], queries fanned across a worker
-/// pool with bounded, batched admission, live inserts/deletes
-/// interleaving with readers per shard.
+/// partitions behind a [`ShardRouter`], each query's shard 0 scanned by
+/// its caller and the other shards by a worker pool with bounded,
+/// batched admission, live inserts/deletes interleaving with readers per
+/// shard.
 ///
 /// Dropping the service closes the queue, lets the workers drain every
 /// admitted task, and joins them — no admitted query is lost.
@@ -225,7 +236,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
             capacity: config.capacity(),
             metrics,
         });
-        let workers = (0..config.workers)
+        // Only parts 1..N are ever queued: a 1-shard service has nothing
+        // for a worker to do.
+        let spawned = if config.shards > 1 { config.workers } else { 0 };
+        let workers = (0..spawned)
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || worker_loop(&inner))
@@ -254,10 +268,19 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
         self.inner.router.shard_count()
     }
 
-    /// Admits `query` as one batch of per-shard tasks, blocking while
-    /// the bounded queue lacks room for the whole batch. Returns a
-    /// [`Ticket`] to redeem for the merged answer.
+    /// Admits shards `1..N` of `query` as one batch of tasks, blocking
+    /// while the bounded queue lacks room for the whole batch, then runs
+    /// shard 0 on the calling thread. Returns a [`Ticket`] to redeem for
+    /// the merged answer. At one shard the queue is never touched.
     pub fn submit(&self, query: &SetQuery) -> Ticket {
+        let pending = self.admit(query);
+        run_part(&self.inner, 0, &pending);
+        Ticket { pending }
+    }
+
+    /// Queues parts `1..N` of `query` as one batch and wakes the workers;
+    /// part 0 is left to the caller.
+    fn admit(&self, query: &SetQuery) -> Arc<Pending> {
         let shards = self.inner.router.shard_count();
         let pending = Arc::new(Pending {
             query: query.clone(),
@@ -267,14 +290,14 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
                 failed: None,
             }),
             finished: Condvar::new(),
-            enqueued: Instant::now(),
+            submitted: Instant::now(),
         });
-        {
+        if shards > 1 {
             let mut q = self.inner.queue.lock().unwrap();
-            while q.tasks.len() + shards > self.inner.capacity {
+            while q.tasks.len() + shards - 1 > self.inner.capacity {
                 q = self.inner.not_full.wait(q).unwrap();
             }
-            for shard in 0..shards {
+            for shard in 1..shards {
                 q.tasks.push_back(Task {
                     shard,
                     pending: Arc::clone(&pending),
@@ -285,9 +308,10 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
                 m.queue_depth.set(depth);
                 m.queue_peak.set_max(depth);
             }
+            drop(q);
+            self.inner.not_empty.notify_all();
         }
-        self.inner.not_empty.notify_all();
-        Ticket { pending }
+        pending
     }
 
     /// Submits and waits: the merged candidates plus summed scan stats.
@@ -295,11 +319,19 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
         self.submit(query).wait()
     }
 
-    /// Batched admission: submits every query before redeeming any
-    /// ticket, so the whole burst is in flight across the pool at once.
+    /// Batched admission: queues every query's parts `1..N` before the
+    /// caller runs any part 0, so the whole burst is in flight across the
+    /// pool at once.
+    // COST: queries * (slices * pages_per_slice + oid_pages) pages
     pub fn query_batch(&self, queries: &[SetQuery]) -> Result<Vec<QueryAnswer>> {
-        let tickets: Vec<Ticket> = queries.iter().map(|q| self.submit(q)).collect();
-        tickets.into_iter().map(Ticket::wait).collect()
+        let admitted: Vec<Arc<Pending>> = queries.iter().map(|q| self.admit(q)).collect();
+        for pending in &admitted {
+            run_part(&self.inner, 0, pending);
+        }
+        admitted
+            .into_iter()
+            .map(|pending| Ticket { pending }.wait())
+            .collect()
     }
 
     /// Live update: indexes `(oid, set)` under the owning shard's write
@@ -315,8 +347,8 @@ impl<F: SetAccessFacility + Send + Sync + 'static> QueryService<F> {
 }
 
 /// Worker body: pop a task (blocking while the queue is open and
-/// empty), run the shard query, deposit the part. Exits once the queue
-/// is closed *and* drained, so shutdown never drops admitted work.
+/// empty), run its part. Exits once the queue is closed *and* drained,
+/// so shutdown never drops admitted work.
 // HOT-PATH: service.dispatch
 // COST: tasks * (slices * pages_per_slice + oid_pages) pages
 fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
@@ -338,21 +370,60 @@ fn worker_loop<F: SetAccessFacility + Send + Sync>(inner: &PoolInner<F>) {
         };
         let Some(task) = task else { return };
         inner.not_full.notify_all();
-        if let Some(m) = &inner.metrics {
-            m.admission_ns.record(
-                u64::try_from(task.pending.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            m.shards[task.shard].inflight.add(1);
+        run_part(inner, task.shard, &task.pending);
+    }
+}
+
+/// Runs one shard's part of a pending query and deposits it: the
+/// caller's part 0 and every worker's task alike. A panic in the
+/// facility becomes this part's [`Error::ShardPanicked`], so the ticket
+/// resolves and the running thread keeps serving.
+fn run_part<F: SetAccessFacility + Send + Sync>(
+    inner: &PoolInner<F>,
+    shard: usize,
+    pending: &Pending,
+) {
+    let metrics = inner.metrics.as_ref();
+    let shard_metrics = metrics.and_then(|m| m.shards.get(shard));
+    if let Some(m) = metrics {
+        m.admission_ns
+            .record(u64::try_from(pending.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+    if let Some(sm) = shard_metrics {
+        sm.inflight.add(1);
+    }
+    // Unwind-safe in practice: the scan borrows the facility shared,
+    // under the shard's read guard, so a panic cannot leave it
+    // mid-update for the next query.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        inner.router.query_shard(shard, &pending.query)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(Error::ShardPanicked {
+            shard,
+            message: panic_message(payload),
+        })
+    });
+    if let Some(sm) = shard_metrics {
+        sm.inflight.add(-1);
+        sm.queries.inc();
+        if let Ok((_, Some(stats))) = &result {
+            sm.scan_pages.record(stats.logical_pages);
         }
-        let result = inner.router.query_shard(task.shard, &task.pending.query);
-        if let Some(m) = &inner.metrics {
-            m.shards[task.shard].inflight.add(-1);
-            m.shards[task.shard].queries.inc();
-            if let Ok((_, Some(stats))) = &result {
-                m.shards[task.shard].scan_pages.record(stats.logical_pages);
-            }
-        }
-        task.pending.complete(task.shard, result);
+    }
+    pending.complete(shard, result);
+}
+
+/// The text a panic was raised with: `panic!`'s `&'static str` or
+/// formatted `String` payload, moved out of the box without allocating,
+/// else a placeholder.
+fn panic_message(payload: Box<dyn Any + Send>) -> Cow<'static, str> {
+    match payload.downcast::<&'static str>() {
+        Ok(s) => Cow::Borrowed(*s),
+        Err(payload) => match payload.downcast::<String>() {
+            Ok(s) => Cow::Owned(*s),
+            Err(_) => Cow::Borrowed("non-string panic payload"),
+        },
     }
 }
 
@@ -394,8 +465,9 @@ impl<F: SetAccessFacility + Send + Sync + 'static> Drop for QueryService<F> {
         }
         self.inner.not_empty.notify_all();
         for w in self.workers.drain(..) {
-            // A worker that panicked already poisoned what it held; the
-            // panic surfaced to any waiter. Do not double-panic in Drop.
+            // Facility panics are caught per part, so a worker only dies
+            // if the pool's own bookkeeping panicked — and that panic
+            // already surfaced to any waiter. Do not double-panic in Drop.
             let _ = w.join();
         }
     }
@@ -584,5 +656,118 @@ mod tests {
                 "shard {i} settled"
             );
         }
+    }
+
+    #[test]
+    fn one_shard_runs_on_the_caller_without_the_queue() {
+        let rec = Arc::new(Recorder::new());
+        let svc = QueryService::with_recorder(
+            vec![MockFacility::new()],
+            ServiceConfig::new(1),
+            Some(Arc::clone(&rec)),
+        )
+        .expect("valid config");
+        assert!(svc.workers.is_empty(), "a 1-shard service spawns no worker");
+        for raw in 0..20u64 {
+            svc.insert(Oid::new(raw), &[key(raw % 2)]).unwrap();
+        }
+        const K: u64 = 12;
+        for i in 0..K {
+            let (set, _) = svc
+                .submit(&SetQuery::has_subset(vec![key(i % 2)]))
+                .wait()
+                .unwrap();
+            assert_eq!(set.oids.len(), 10, "query {i}");
+        }
+        let snap = rec.registry().snapshot();
+        assert_eq!(
+            snap.get_gauge("service.queue_depth_peak"),
+            Some(0),
+            "nothing was queued"
+        );
+        let adm = snap
+            .get_histogram("service.admission_ns")
+            .expect("histogram");
+        assert_eq!(adm.count, K);
+        assert_eq!(snap.get_counter("service.shard0.queries"), Some(K));
+    }
+
+    /// A sentinel query panics in shard `shards - 1`'s facility: the
+    /// caller's part at one shard, a worker's part at more. Each such
+    /// ticket must fail with a typed error, and the pool must stay whole.
+    fn panics_are_contained(shards: usize) {
+        let sentinel = key(999);
+        let facilities = (0..shards)
+            .map(|s| {
+                if s + 1 == shards {
+                    MockFacility::panicking_on(sentinel.clone())
+                } else {
+                    MockFacility::new()
+                }
+            })
+            .collect();
+        let svc = Arc::new(QueryService::new(facilities, ServiceConfig::new(shards)).unwrap());
+        for raw in 0..40u64 {
+            svc.insert(Oid::new(raw), &[key(raw % 4)]).unwrap();
+        }
+        let workers = svc.config().workers;
+        // More panics than workers: a panic that killed its worker would
+        // leave no one to run the later parts.
+        for round in 0..3 * workers {
+            let err = svc
+                .query(&SetQuery::has_subset(vec![sentinel.clone()]))
+                .unwrap_err();
+            assert!(
+                matches!(&err, Error::ShardPanicked { shard, message }
+                    if *shard == shards - 1 && message.contains("panic sentinel")),
+                "round {round}: {err}"
+            );
+            let (set, _) = svc.query(&SetQuery::has_subset(vec![key(1)])).unwrap();
+            assert_eq!(set.oids.len(), 10, "round {round}: the next query succeeds");
+        }
+        // `workers` concurrent clients all get answers.
+        let clients: Vec<_> = (0..workers as u64)
+            .map(|c| {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || {
+                    let q = SetQuery::has_subset(vec![key(c % 4)]);
+                    for _ in 0..10 {
+                        svc.query(&q).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("concurrent client");
+        }
+    }
+
+    /// Runs `check` on its own thread and fails, rather than hangs, if a
+    /// lost ticket keeps it from finishing.
+    fn without_hanging(check: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            check();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => handle.join().expect("check thread"),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a ticket was never resolved")
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_facility_fails_the_callers_part_only() {
+        without_hanging(|| panics_are_contained(1));
+    }
+
+    #[test]
+    fn a_panicking_facility_fails_a_workers_part_only() {
+        without_hanging(|| panics_are_contained(2));
     }
 }

@@ -126,8 +126,8 @@ impl<F: SetAccessFacility> ShardRouter<F> {
     }
 
     /// Runs `query`'s filtering stage on one shard, under its read
-    /// guard. This is the unit of work the pool's workers execute
-    /// concurrently.
+    /// guard. This is the unit of work the service's caller and workers
+    /// execute concurrently.
     // HOT-PATH-BOUNDARY: fans out through SetAccessFacility dispatch; the
     // facility scan kernels carry their own HOT-PATH roots
     // COST: slices * pages_per_slice + oid_pages pages

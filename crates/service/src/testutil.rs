@@ -13,15 +13,27 @@ use setsig_core::{
 /// Exact in-memory store: every answer is evaluated with
 /// [`verify_predicate`], so candidate sets are the ground truth (no
 /// false drops *or* false positives), and every query charges exactly
-/// one logical and one physical page.
+/// one logical page.
 pub(crate) struct MockFacility {
     sets: BTreeMap<Oid, ElementSet>,
+    /// A query holding this element panics instead of answering.
+    panics_on: Option<ElementKey>,
 }
 
 impl MockFacility {
     pub(crate) fn new() -> Self {
         MockFacility {
             sets: BTreeMap::new(),
+            panics_on: None,
+        }
+    }
+
+    /// A facility whose scan panics on any query holding `sentinel` —
+    /// the worker-panic robustness tests.
+    pub(crate) fn panicking_on(sentinel: ElementKey) -> Self {
+        MockFacility {
+            panics_on: Some(sentinel),
+            ..MockFacility::new()
         }
     }
 
@@ -51,6 +63,12 @@ impl SetAccessFacility for MockFacility {
     fn candidates_with_stats(&self, query: &SetQuery) -> Result<(CandidateSet, Option<ScanStats>)> {
         if query.elements.is_empty() {
             return Err(Error::BadQuery("empty query set".to_string()));
+        }
+        if let Some(sentinel) = &self.panics_on {
+            assert!(
+                !query.elements.contains(sentinel),
+                "mock facility asked for its panic sentinel"
+            );
         }
         let oids: Vec<Oid> = self
             .sets
