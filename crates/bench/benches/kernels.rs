@@ -152,10 +152,14 @@ fn or_scan_kernel(slices: &[Vec<u8>]) -> Vec<u64> {
     words
 }
 
+/// The BSSF overlap scan: fill one scratch row bitmap per slice, then
+/// count its set bits.
 fn overlap_count_kernel(slices: &[Vec<u8>]) -> Vec<u32> {
     let mut counts = vec![0u32; NBITS as usize];
+    let mut rows = vec![0u64; kernel::words_for(NBITS)];
     for bytes in slices {
-        kernel::accumulate_ones(&mut counts, bytes);
+        kernel::fill(&mut rows, bytes, NBITS);
+        kernel::accumulate_ones(&mut counts, &rows);
     }
     counts
 }

@@ -163,23 +163,25 @@ impl Bitmap {
 
     /// Iterates the positions of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(wi as u32 * 64 + bit)
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| set_positions(wi, w))
     }
 
-    /// Iterates the positions of clear bits in ascending order.
+    /// Iterates the positions of clear bits in ascending order, a word at
+    /// a time: each word is inverted and the last one tail-masked, so the
+    /// padding never reads as clear.
     pub fn iter_zeros(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nbits).filter(move |&i| !self.get(i))
+        let last = self.words.len().wrapping_sub(1);
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let mask = if wi == last {
+                kernel::tail_mask(self.nbits)
+            } else {
+                !0
+            };
+            set_positions(wi, !w & mask)
+        })
     }
 
     /// Serializes to `ceil(nbits/8)` bytes, LSB-first within each byte.
@@ -212,6 +214,14 @@ impl Bitmap {
         &self.words
     }
 
+    /// Mutable backing words, for the slice kernels that combine stored
+    /// pages straight into them. Callers must leave the words canonical
+    /// (padding bits past the width zero).
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     fn assert_byte_width(&self, bytes: &[u8]) -> usize {
         let nbytes = (self.nbits as usize).div_ceil(8);
         assert!(
@@ -223,24 +233,15 @@ impl Bitmap {
     }
 
     /// `self &= bytes` — word-at-a-time AND straight from the serialized
-    /// (LSB-first) form, the BSSF slice-combining kernel: no intermediate
-    /// `Bitmap` is materialized for the incoming slice.
+    /// (LSB-first) form: no intermediate `Bitmap` is materialized for the
+    /// incoming bytes.
     pub fn and_assign_bytes(&mut self, bytes: &[u8]) {
         let nbytes = self.assert_byte_width(bytes);
         kernel::and_assign(&mut self.words, &bytes[..nbytes]);
     }
 
-    /// Like [`and_assign_bytes`](Bitmap::and_assign_bytes) but also reports
-    /// whether any bit survived — the fused liveness check the BSSF AND loop
-    /// uses to early-exit without a second pass over the words.
-    pub fn and_assign_bytes_alive(&mut self, bytes: &[u8]) -> bool {
-        let nbytes = self.assert_byte_width(bytes);
-        kernel::and_assign(&mut self.words, &bytes[..nbytes]) != 0
-    }
-
     /// `self |= bytes` — the OR counterpart of
-    /// [`and_assign_bytes`](Bitmap::and_assign_bytes), used by the `T ⊆ Q`
-    /// slice scan.
+    /// [`and_assign_bytes`](Bitmap::and_assign_bytes).
     pub fn or_assign_bytes(&mut self, bytes: &[u8]) {
         let nbytes = self.assert_byte_width(bytes);
         kernel::or_assign(&mut self.words, &bytes[..nbytes], self.nbits);
@@ -275,6 +276,19 @@ impl Bitmap {
         let nbytes = self.assert_byte_width(bytes);
         kernel::intersection_count(&self.words, &bytes[..nbytes])
     }
+}
+
+/// The set-bit positions of word `wi` with value `w`, ascending.
+fn set_positions(wi: usize, mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            None
+        } else {
+            let bit = w.trailing_zeros();
+            w &= w - 1;
+            Some(wi as u32 * 64 + bit)
+        }
+    })
 }
 
 /// Iterates the set-bit positions of an LSB-first serialized bitmap of
@@ -408,6 +422,24 @@ mod tests {
         let bm = Bitmap::from_positions(10, &[2, 5]);
         let zeros: Vec<u32> = bm.iter_zeros().collect();
         assert_eq!(zeros, vec![0, 1, 3, 4, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn iter_zeros_agrees_with_the_bit_loop() {
+        for nbits in [0u32, 1, 63, 64, 65, 32_000, 65_537] {
+            let sparse: Vec<u32> = (0..nbits).step_by(97).collect();
+            let dense: Vec<u32> = (0..nbits).filter(|i| i % 5 != 3).collect();
+            for bm in [
+                Bitmap::zeroed(nbits),
+                Bitmap::ones(nbits),
+                Bitmap::from_positions(nbits, &sparse),
+                Bitmap::from_positions(nbits, &dense),
+            ] {
+                let bit_loop: Vec<u32> = (0..nbits).filter(|&i| !bm.get(i)).collect();
+                let words: Vec<u32> = bm.iter_zeros().collect();
+                assert_eq!(words, bit_loop, "width {nbits}");
+            }
+        }
     }
 
     #[test]

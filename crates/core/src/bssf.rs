@@ -40,6 +40,20 @@ use crate::signature::Signature;
 /// Rows (signature positions) per slice page: `P·b` bits.
 const ROWS_PER_PAGE: u64 = (PAGE_SIZE * 8) as u64;
 
+/// Accumulator words covered by one slice page.
+const WORDS_PER_PAGE: usize = PAGE_SIZE / 8;
+
+/// How [`Bssf::combine_slice`] folds a slice into the accumulator.
+#[derive(Debug, Clone, Copy)]
+enum Combine {
+    /// `acc = slice`.
+    Fill,
+    /// `acc &= slice`.
+    And,
+    /// `acc |= slice`.
+    Or,
+}
+
 /// A bit-sliced signature file with its companion OID file.
 pub struct Bssf {
     cfg: SignatureConfig,
@@ -240,55 +254,67 @@ impl Bssf {
         Ok(())
     }
 
-    /// Reads slice `j`'s rows into `buf`, resized (reusing its capacity)
-    /// to the packed length `⌈n/8⌉`, charging one read per materialized
-    /// page, and returns the page count. Pages past the end of a sparsely
-    /// built slice are known-zero from file metadata and cost nothing.
+    /// Combines slice `j` into `acc` (one bit per entry) page by page,
+    /// straight off the stored pages: each page meets its 512-word window
+    /// of `acc` in the word kernels with nothing copied out. Charges `ctr`
+    /// one read per materialized page. Pages past the end of a sparsely
+    /// built slice are known-zero from file metadata and cost nothing:
+    /// `Fill` and `And` clear their words, `Or` leaves them alone.
     ///
-    /// The scan loops call this with one hoisted buffer so the AND/
-    /// OR kernels run allocation-free after the first slice.
+    /// Returns `false` only when an `And` emptied the accumulator — the
+    /// kernel's fused liveness fold, so no second pass over the words.
     // COST: pages_per_slice pages
-    fn read_slice_into(&self, j: u32, buf: &mut Vec<u8>) -> Result<u64> {
-        let n = self.oid_file.len();
+    fn combine_slice(
+        &self,
+        j: u32,
+        acc: &mut Bitmap,
+        op: Combine,
+        ctr: &ScanCounters,
+    ) -> Result<bool> {
         let slice = &self.slices[j as usize];
-        let have = slice.len()?;
-        let nbytes = (n as usize).div_ceil(8);
-        // The buffer is reused across slices of different materialized
-        // lengths: clear it and append page bytes in order, then resize to
-        // the packed length so the sparse tail is zero-filled and a shorter
-        // read can never expose stale bytes from a longer predecessor.
-        buf.clear();
-        let npages = (n.div_ceil(ROWS_PER_PAGE) as u32).min(have);
-        for p in 0..npages {
-            // A slice page holds PAGE_SIZE·8 rows, so page p's bits start
-            // at byte p·PAGE_SIZE of the row buffer — a straight copy.
-            let start = p as usize * PAGE_SIZE;
-            let take = (nbytes - start).min(PAGE_SIZE);
-            slice.read(p).map(|page| {
-                buf.extend_from_slice(&page.as_bytes()[..take]);
+        let have = slice.len()? as usize;
+        let nbits = u64::from(acc.len());
+        let mut alive = 0u64;
+        let mut pages = 0;
+        for (p, window) in acc.words_mut().chunks_mut(WORDS_PER_PAGE).enumerate() {
+            if p >= have {
+                if !matches!(op, Combine::Or) {
+                    window.fill(0);
+                }
+                continue;
+            }
+            // Rows on this page; the window's last word is tail-masked at
+            // this width (a no-op on every full page).
+            let bits = (nbits - p as u64 * ROWS_PER_PAGE).min(ROWS_PER_PAGE) as u32;
+            slice.read_with(p as u32, |page| {
+                let bytes = page.as_bytes();
+                match op {
+                    Combine::Fill => kernel::fill(window, bytes, bits),
+                    Combine::And => alive |= kernel::and_assign(window, bytes),
+                    Combine::Or => kernel::or_assign(window, bytes, bits),
+                }
             })?;
+            pages += 1;
         }
-        debug_assert!(buf.len() <= nbytes);
-        buf.resize(nbytes, 0);
-        Ok(npages as u64)
+        ctr.charge(pages);
+        Ok(alive != 0 || !matches!(op, Combine::And))
     }
 
     /// Reads slice `j` as a row bitmap of length `n` (the current entry
     /// count).
     fn read_slice_rows(&self, j: u32) -> Result<Bitmap> {
-        let n = self.oid_file.len();
-        let mut buf = Vec::new();
-        self.read_slice_into(j, &mut buf)?;
-        Ok(Bitmap::from_bytes(n as u32, &buf))
+        let mut rows = Bitmap::zeroed(self.oid_file.len() as u32);
+        self.combine_slice(j, &mut rows, Combine::Fill, &ScanCounters::default())?;
+        Ok(rows)
     }
 
     /// `T ⊇ Q` scan (§4.2): AND of the slices at the query signature's
     /// 1-positions, optionally restricted to the first `max_slices` of them
     /// (the smart strategy caps this via a reduced query signature).
     ///
-    /// The AND runs word-at-a-time straight off the page bytes
-    /// ([`Bitmap::and_assign_bytes`]), and stops as soon as the running
-    /// candidate bitmap is empty — no later slice can revive a row.
+    /// The AND starts from all ones, runs word-at-a-time straight off the
+    /// stored pages ([`Bssf::combine_slice`]), and stops as soon as the
+    /// running candidate bitmap is empty — no later slice can revive a row.
     // HOT-PATH: bssf.and_loop
     // COST: slices * pages_per_slice pages
     fn superset_positions(&self, query_sig: &Signature, ctr: &ScanCounters) -> Result<Vec<u64>> {
@@ -298,23 +324,15 @@ impl Bssf {
             // Empty query set: everything is a superset.
             return Ok((0..n).collect());
         }
-        let mut bytes = Vec::new();
-        let np = self.read_slice_into(ones[0], &mut bytes)?;
-        ctr.charge(np);
-        ctr.note_slices(1);
-        let mut acc = Bitmap::from_bytes(n as u32, &bytes);
-        // The AND kernel reports liveness as it combines, so each following
-        // iteration needs no separate emptiness pass over the words.
-        let mut alive = !acc.is_zero();
-        for &j in &ones[1..] {
+        let mut acc = Bitmap::ones(n as u32);
+        let mut alive = true;
+        for &j in &ones {
             if !alive {
                 ctr.mark_early_exit();
                 break;
             }
-            let np = self.read_slice_into(j, &mut bytes)?;
-            ctr.charge(np);
             ctr.note_slices(1);
-            alive = acc.and_assign_bytes_alive(&bytes);
+            alive = self.combine_slice(j, &mut acc, Combine::And, ctr)?;
         }
         Ok(acc.iter_ones().map(u64::from).collect())
     }
@@ -342,13 +360,10 @@ impl Bssf {
         let zeros = &zeros[..take];
         ctr.note_slices(zeros.len() as u64);
         let mut acc = Bitmap::zeroed(n as u32);
-        let mut bytes = Vec::new();
         for &j in zeros {
-            let np = self.read_slice_into(j, &mut bytes)?;
-            ctr.charge(np);
-            acc.or_assign_bytes(&bytes);
+            self.combine_slice(j, &mut acc, Combine::Or, ctr)?;
         }
-        Ok((0..n).filter(|&p| !acc.get(p as u32)).collect())
+        Ok(acc.iter_zeros().map(u64::from).collect())
     }
 
     /// Set-equality scan: rows where every 1-slice is set and every 0-slice
@@ -374,11 +389,10 @@ impl Bssf {
         // truncated the threshold) for high-weight signatures — see
         // `overlap_filter_survives_u16_boundary`.
         let mut counts = vec![0u32; n];
-        let mut bytes = Vec::new();
+        let mut rows = Bitmap::zeroed(n as u32);
         for &j in &ones {
-            let np = self.read_slice_into(j, &mut bytes)?;
-            ctr.charge(np);
-            kernel::accumulate_ones(&mut counts, &bytes);
+            self.combine_slice(j, &mut rows, Combine::Fill, ctr)?;
+            kernel::accumulate_ones(&mut counts, rows.words());
         }
         Ok(Self::overlap_filter(&counts, self.cfg.m_weight()))
     }
@@ -858,39 +872,112 @@ mod tests {
         assert_eq!(Bssf::overlap_filter(&counts, u32::MAX), Vec::<u64>::new());
     }
 
+    /// Slice `j`'s rows, read bit by bit off copied pages: the oracle for
+    /// `combine_slice`. Rows on unmaterialized pages are zero.
+    fn slice_bits(b: &Bssf, j: u32) -> Bitmap {
+        let n = b.oid_file.len();
+        let slice = &b.slices[j as usize];
+        let pages: Vec<Page> = (0..slice.len().unwrap())
+            .map(|p| slice.read(p).unwrap())
+            .collect();
+        let ones: Vec<u32> = (0..n)
+            .filter(|&r| {
+                let (page_no, bit) = Bssf::row_page(r);
+                pages.get(page_no as usize).is_some_and(|p| p.get_bit(bit))
+            })
+            .map(|r| r as u32)
+            .collect();
+        Bitmap::from_positions(n as u32, &ones)
+    }
+
     #[test]
-    fn read_slice_into_reuse_leaves_no_stale_tail() {
+    fn combine_slice_reads_unmaterialized_slices_as_free_zeros() {
         // Sparse inserts materialize only the 1-slices, so slice files in
-        // one BSSF have different lengths. Reading a short (or empty) slice
-        // into a buffer that previously held a fully materialized one must
-        // yield exactly the packed length with a zero tail — never stale
-        // bytes from the longer predecessor.
+        // one BSSF have different lengths. An empty slice combined after a
+        // materialized one must read as zero — clearing an AND accumulator,
+        // leaving an OR accumulator alone — never as the previous slice's
+        // bits, and must cost nothing.
         let (_d, mut b) = bssf(64, 2);
         for i in 0..100u64 {
             let sig = Signature::for_set(b.config(), &[ElementKey::from(i)]);
             b.insert_signature_sparse(Oid::new(i), &sig).unwrap();
         }
-        let nbytes = 100usize.div_ceil(8);
         let long = (0..64)
             .find(|&j| b.slices[j as usize].len().unwrap() > 0)
             .expect("some slice is materialized");
         let empty = (0..64)
             .find(|&j| b.slices[j as usize].len().unwrap() == 0)
             .expect("some slice is empty");
-        let mut buf = Vec::new();
-        // Alternate long → empty → long; each read must stand alone.
-        let np = b.read_slice_into(long, &mut buf).unwrap();
-        assert_eq!((np, buf.len()), (1, nbytes));
-        let populated = buf.clone();
-        assert!(populated.iter().any(|&x| x != 0));
-        let np = b.read_slice_into(empty, &mut buf).unwrap();
-        assert_eq!((np, buf.len()), (0, nbytes));
-        assert!(
-            buf.iter().all(|&x| x == 0),
-            "empty slice read must not expose stale bytes"
-        );
-        b.read_slice_into(long, &mut buf).unwrap();
-        assert_eq!(buf, populated);
+        let populated = slice_bits(&b, long);
+        assert!(!populated.is_zero());
+        let ctr = ScanCounters::default();
+        let mut and_acc = Bitmap::ones(100);
+        let mut or_acc = Bitmap::zeroed(100);
+        assert!(b
+            .combine_slice(long, &mut and_acc, Combine::And, &ctr)
+            .unwrap());
+        assert!(b
+            .combine_slice(long, &mut or_acc, Combine::Or, &ctr)
+            .unwrap());
+        assert_eq!((&and_acc, &or_acc), (&populated, &populated));
+        assert_eq!(ctr.stats().logical_pages, 2);
+        // long → empty: AND empties, OR is unchanged, no page is charged.
+        assert!(!b
+            .combine_slice(empty, &mut and_acc, Combine::And, &ctr)
+            .unwrap());
+        assert!(and_acc.is_zero());
+        b.combine_slice(empty, &mut or_acc, Combine::Or, &ctr)
+            .unwrap();
+        assert_eq!(or_acc, populated);
+        assert_eq!(ctr.stats().logical_pages, 2, "an empty slice is free");
+        // empty → long: each read stands alone.
+        let mut fill = populated.clone();
+        b.combine_slice(empty, &mut fill, Combine::Fill, &ctr)
+            .unwrap();
+        assert!(fill.is_zero());
+        b.combine_slice(long, &mut fill, Combine::Fill, &ctr)
+            .unwrap();
+        assert_eq!(fill, populated);
+        assert_eq!(ctr.stats().logical_pages, 3);
+    }
+
+    #[test]
+    fn combine_slice_clears_only_the_unmaterialized_page_window() {
+        // One full slice page bulk-loaded, then a few sparse rows on page
+        // 1: slices without a bit there stay one page long while the
+        // accumulator spans two page windows.
+        let (_d, mut b) = bssf(64, 2);
+        let items: Vec<(Oid, Vec<ElementKey>)> = (0..ROWS_PER_PAGE)
+            .map(|i| (Oid::new(i), vec![ElementKey::from(i % 251)]))
+            .collect();
+        b.bulk_load(&items).unwrap();
+        for i in 0..5u64 {
+            let sig = Signature::for_set(b.config(), &[ElementKey::from(i)]);
+            b.insert_signature_sparse(Oid::new(ROWS_PER_PAGE + i), &sig)
+                .unwrap();
+        }
+        let n = b.oid_file.len() as u32;
+        for j in 0..64 {
+            let have = u64::from(b.slices[j as usize].len().unwrap());
+            let truth = slice_bits(&b, j);
+            let ctr = ScanCounters::default();
+            let mut and_acc = Bitmap::ones(n);
+            b.combine_slice(j, &mut and_acc, Combine::And, &ctr)
+                .unwrap();
+            assert_eq!(and_acc, truth, "AND slice {j}");
+            // OR keeps every accumulator bit, on unmaterialized pages too.
+            let every_third: Vec<u32> = (0..n).step_by(3).collect();
+            let mut or_acc = Bitmap::from_positions(n, &every_third);
+            let expected = or_acc.or(&truth);
+            b.combine_slice(j, &mut or_acc, Combine::Or, &ctr).unwrap();
+            assert_eq!(or_acc, expected, "OR slice {j}");
+            let mut fill = Bitmap::ones(n);
+            b.combine_slice(j, &mut fill, Combine::Fill, &ctr).unwrap();
+            assert_eq!(fill, truth, "Fill slice {j}");
+            assert_eq!(ctr.stats().logical_pages, 3 * have, "slice {j}");
+        }
+        assert!((0..64).any(|j| b.slices[j].len().unwrap() == 1));
+        assert!((0..64).any(|j| b.slices[j].len().unwrap() == 2));
     }
 }
 
@@ -1283,12 +1370,8 @@ impl Bssf {
         let rows_per_page = ROWS_PER_PAGE;
         let new_len = live.len() as u64;
         let npages = new_len.div_ceil(rows_per_page) as u32;
-        for (j, old) in self.slices.iter().enumerate() {
-            let rows = {
-                // Borrow of self via read_slice_rows needs j only.
-                let _ = old;
-                self.read_slice_rows(j as u32)?
-            };
+        for j in 0..self.slices.len() {
+            let rows = self.read_slice_rows(j as u32)?;
             let mut staged: Vec<Page> = (0..npages).map(|_| Page::zeroed()).collect();
             for (new_pos, &(old_pos, _)) in live.iter().enumerate() {
                 debug_assert!(old_pos < n);

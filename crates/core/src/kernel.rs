@@ -267,20 +267,15 @@ pub fn iter_ones(nbits: u32, bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
-/// `counts[p] += 1` for every set bit `p` of the serialized bitmap, word
-/// at a time — the overlap scan's per-slice counting kernel. Counts are
-/// `u32`: per-row overlap counts are bounded by the slice count `F`
-/// (itself a `u32`), so unlike a `u16` they can never wrap for any legal
-/// signature geometry.
+/// `counts[p] += 1` for every set bit `p` of the canonical `words`, word
+/// at a time — the overlap scan's per-slice counting kernel. Positions
+/// past `counts.len()` are ignored. Counts are `u32`: per-row overlap
+/// counts are bounded by the slice count `F` (itself a `u32`), so unlike
+/// a `u16` they can never wrap for any legal signature geometry.
 // HOT-PATH: kernel.count_ones
-pub fn accumulate_ones(counts: &mut [u32], bytes: &[u8]) {
-    let nbits = counts.len() as u32;
-    let nwords = words_for(nbits);
-    for wi in 0..nwords {
-        let mut w = le_word(bytes, wi);
-        if wi + 1 == nwords {
-            w &= tail_mask(nbits);
-        }
+pub fn accumulate_ones(counts: &mut [u32], words: &[u64]) {
+    for (wi, &w) in words.iter().enumerate() {
+        let mut w = w;
         while w != 0 {
             let bit = w.trailing_zeros() as usize;
             w &= w - 1;
@@ -510,7 +505,7 @@ mod tests {
     #[test]
     fn accumulate_ones_counts_every_position_once() {
         let mut counts = vec![0u32; 20];
-        let bm = [0b1000_0001u8, 0b0000_0001, 0b1111_1000];
+        let bm = to_words(&[0b1000_0001u8, 0b0000_0001, 0b1111_1000], 20);
         accumulate_ones(&mut counts, &bm);
         accumulate_ones(&mut counts, &bm);
         assert_eq!(counts[0], 2);

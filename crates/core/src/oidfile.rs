@@ -150,17 +150,24 @@ impl OidFile {
                 return Err(Error::NoSuchEntry(pos));
             }
             let page_no = Self::page_of(pos);
-            let page = self.file.read(page_no)?;
-            while i < positions.len() && Self::page_of(positions[i]) == page_no {
-                let p = positions[i];
-                if p >= self.len {
-                    return Err(Error::NoSuchEntry(p));
+            // The entries are read off the stored page in place.
+            let mut past_end = None;
+            self.file.read_with(page_no, |page| {
+                while i < positions.len() && Self::page_of(positions[i]) == page_no {
+                    let p = positions[i];
+                    if p >= self.len {
+                        past_end = Some(p);
+                        return;
+                    }
+                    let raw = page.read_u64(Self::offset_of(p));
+                    if raw & TOMBSTONE_BIT == 0 {
+                        out.push((p, Oid::new(raw)));
+                    }
+                    i += 1;
                 }
-                let raw = page.read_u64(Self::offset_of(p));
-                if raw & TOMBSTONE_BIT == 0 {
-                    out.push((p, Oid::new(raw)));
-                }
-                i += 1;
+            })?;
+            if let Some(p) = past_end {
+                return Err(Error::NoSuchEntry(p));
             }
         }
         Ok(out)
@@ -196,31 +203,32 @@ impl OidFile {
         let npages = self.file.len()?;
         let target = oid.raw();
         for page_no in 0..npages {
-            let page = self.file.read(page_no)?;
             let base = page_no as u64 * OIDS_PER_PAGE;
             let slots = (self.len - base).min(OIDS_PER_PAGE) as usize;
-            // A branch-free pass decides whether the OID is on this page
-            // (it vectorizes); only the one page that holds it pays for the
-            // slot-by-slot search below.
-            let here = (0..slots).fold(false, |hit, s| {
-                hit | (page.read_u64(s * OID_ENTRY_BYTES) == target)
-            });
-            if !here {
-                continue;
-            }
-            for s in 0..slots {
-                let raw = page.read_u64(s * OID_ENTRY_BYTES);
-                if raw == target {
-                    let pos = base + s as u64;
-                    // One write to set the flag; the page is already in
-                    // hand so a real system would not re-read it, but we
-                    // route through write() to charge exactly one write.
-                    let mut p = page.clone();
-                    p.write_u64(s * OID_ENTRY_BYTES, raw | TOMBSTONE_BIT);
-                    self.file.write(page_no, &p)?;
-                    self.live -= 1;
-                    return Ok(pos);
+            // The scan runs on the stored page in place; only the page that
+            // holds the OID is copied out, to be written back flagged.
+            let mut hit = None;
+            self.file.read_with(page_no, |page| {
+                // A branch-free pass decides whether the OID is on this
+                // page (it vectorizes); only the one page that holds it
+                // pays for the slot-by-slot search.
+                let here = (0..slots).fold(false, |hit, s| {
+                    hit | (page.read_u64(s * OID_ENTRY_BYTES) == target)
+                });
+                if here {
+                    hit = (0..slots)
+                        .find(|&s| page.read_u64(s * OID_ENTRY_BYTES) == target)
+                        .map(|s| (s, page.clone()));
                 }
+            })?;
+            if let Some((s, mut p)) = hit {
+                // One write to set the flag; the page is already in hand
+                // so a real system would not re-read it, but we route
+                // through write() to charge exactly one write.
+                p.write_u64(s * OID_ENTRY_BYTES, target | TOMBSTONE_BIT);
+                self.file.write(page_no, &p)?;
+                self.live -= 1;
+                return Ok(base + s as u64);
             }
         }
         Err(Error::OidNotFound(oid))

@@ -339,8 +339,10 @@ proptest! {
         prop_assert_eq!(&got, &expect);
 
         // accumulate_ones bumps exactly those positions by one.
+        let mut words = vec![0u64; kernel::words_for(nbits)];
+        kernel::fill(&mut words, &row, nbits);
         let mut counts = vec![0u32; nbits as usize];
-        kernel::accumulate_ones(&mut counts, &row);
+        kernel::accumulate_ones(&mut counts, &words);
         for (p, &c) in counts.iter().enumerate() {
             prop_assert_eq!(c, u32::from(expect.contains(&(p as u32))), "position {}", p);
         }

@@ -1,6 +1,7 @@
 //! The simulated disk: named paged files plus access accounting.
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
@@ -39,21 +40,95 @@ pub struct FileInfo {
     pub stats: FileStats,
 }
 
+/// `FileData::last_access` before the file's first access.
+const NO_ACCESS: u64 = u64::MAX;
+
+/// `Disk::fail_after` when no fault is armed.
+const NO_FAULT: u64 = u64::MAX;
+
 struct FileData {
     name: String,
     pages: Vec<Page>,
-    stats: FileStats,
-    /// Page number of the most recent access, for sequential detection.
-    last_access: Option<u32>,
+    // Read-side counters are bumped under the shared guard, so they are
+    // atomic; write-side counters change only under the exclusive guard
+    // and stay plain integers. The atomics are statistics that publish no
+    // other data, so `Relaxed` suffices; the guard orders them against
+    // writers and resets.
+    reads: AtomicU64,
+    seq_reads: AtomicU64,
+    writes: u64,
+    seq_writes: u64,
+    /// Page number of the most recent access ([`NO_ACCESS`] before the
+    /// first), for sequential detection.
+    last_access: AtomicU64,
+}
+
+impl FileData {
+    fn new(name: String, pages: Vec<Page>) -> Self {
+        FileData {
+            name,
+            pages,
+            reads: AtomicU64::new(0),
+            seq_reads: AtomicU64::new(0),
+            writes: 0,
+            seq_writes: 0,
+            last_access: AtomicU64::new(NO_ACCESS),
+        }
+    }
+
+    fn stats(&self) -> FileStats {
+        FileStats {
+            reads: self.reads.load(Relaxed),
+            writes: self.writes,
+            seq_reads: self.seq_reads.load(Relaxed),
+            seq_writes: self.seq_writes,
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        *self.reads.get_mut() = 0;
+        *self.seq_reads.get_mut() = 0;
+        self.writes = 0;
+        self.seq_writes = 0;
+        *self.last_access.get_mut() = NO_ACCESS;
+    }
+
+    fn note_read(&self, n: u32) {
+        self.reads.fetch_add(1, Relaxed);
+        if is_sequential(self.last_access.swap(u64::from(n), Relaxed), n) {
+            self.seq_reads.fetch_add(1, Relaxed);
+        }
+    }
+
+    fn note_write(&mut self, n: u32) {
+        self.writes += 1;
+        let last = self.last_access.get_mut();
+        if is_sequential(*last, n) {
+            self.seq_writes += 1;
+        }
+        *last = u64::from(n);
+    }
+}
+
+/// True when page `n` directly follows the previous access `last`.
+fn is_sequential(last: u64, n: u32) -> bool {
+    n > 0 && last == u64::from(n) - 1
 }
 
 struct DiskInner {
     /// `None` marks a deleted file; slots are never reused.
     files: Vec<Option<FileData>>,
-    total: IoSnapshot,
-    /// Fault injection: `Some(n)` fails every page access after `n` more
-    /// successful ones.
-    fail_after: Option<u64>,
+    reads: AtomicU64,
+    writes: u64,
+}
+
+impl DiskInner {
+    fn file(&self, id: FileId) -> Result<&FileData> {
+        self.files
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(Error::FileNotFound(id))
+    }
 }
 
 /// An in-memory simulated disk.
@@ -65,44 +140,50 @@ struct DiskInner {
 /// any operation with [`Disk::snapshot`] and read off its exact page-access
 /// cost.
 ///
-/// `Disk` is internally synchronized; share it as `Arc<Disk>`.
+/// `Disk` is internally synchronized; share it as `Arc<Disk>`. Page reads
+/// share the file table; writes and file creation take it exclusively.
 pub struct Disk {
     // This is the LEAF lock of the whole system: no method calls out of
     // the crate (or into BufferPool) while holding it, so it can be taken
-    // from under any other lock without deadlock risk.
+    // from under any other lock without deadlock risk. Readers run the
+    // caller's closure (`with_page`, `PageIo::read_with`) and writers run
+    // `update_page`'s closure under the guard, so such a closure must not
+    // call back into `PageIo` or this disk: a nested acquisition can
+    // deadlock behind a queued writer.
     // LOCK-ORDER: pagestore.disk leaf
-    inner: Mutex<DiskInner>,
+    inner: RwLock<DiskInner>,
+    /// Fault injection: fails every page access once this many more have
+    /// succeeded; [`NO_FAULT`] when disarmed. `Relaxed`: a budget that
+    /// publishes no data; each access is one read-modify-write on it.
+    fail_after: AtomicU64,
 }
 
 impl Disk {
     /// Creates an empty disk.
     pub fn new() -> Self {
         Disk {
-            inner: Mutex::new(DiskInner {
+            inner: RwLock::new(DiskInner {
                 files: Vec::new(),
-                total: IoSnapshot::default(),
-                fail_after: None,
+                reads: AtomicU64::new(0),
+                writes: 0,
             }),
+            fail_after: AtomicU64::new(NO_FAULT),
         }
     }
 
     /// Creates a new empty file and returns its handle.
     pub fn create_file(&self, name: &str) -> FileId {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.write();
         let id = FileId(g.files.len() as u32);
-        g.files.push(Some(FileData {
-            name: name.to_owned(),
-            pages: Vec::new(),
-            stats: FileStats::default(),
-            last_access: None,
-        }));
+        g.files
+            .push(Some(FileData::new(name.to_owned(), Vec::new())));
         id
     }
 
     /// Deletes a file, freeing its pages. Subsequent access through the
     /// handle yields [`Error::FileNotFound`].
     pub fn delete_file(&self, id: FileId) -> Result<()> {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.write();
         let slot = g
             .files
             .get_mut(id.0 as usize)
@@ -114,38 +195,64 @@ impl Disk {
         Ok(())
     }
 
-    fn with_file<R>(
+    /// Spends one access of an armed fault budget, failing once it is
+    /// used up. One atomic read-modify-write, so exactly the budgeted
+    /// number of accesses succeed however many threads race for them.
+    fn charge_fault(&self) -> Result<()> {
+        let left = self
+            .fail_after
+            .fetch_update(Relaxed, Relaxed, |left| match left {
+                NO_FAULT | 0 => None,
+                left => Some(left - 1),
+            });
+        match left {
+            Err(0) => Err(Error::Io("injected fault".into())),
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs `f` on file `id` under the shared guard, after charging the
+    /// fault budget.
+    fn read_file<R>(
         &self,
         id: FileId,
-        f: impl FnOnce(&mut FileData, &mut IoSnapshot) -> Result<R>,
+        f: impl FnOnce(&FileData, &AtomicU64) -> Result<R>,
     ) -> Result<R> {
-        let mut g = self.inner.lock();
+        self.charge_fault()?;
+        let g = self.inner.read();
+        f(g.file(id)?, &g.reads)
+    }
+
+    /// Runs `f` on file `id` under the exclusive guard, after charging the
+    /// fault budget. `f` also gets the disk-wide write counter.
+    fn write_file<R>(
+        &self,
+        id: FileId,
+        f: impl FnOnce(&mut FileData, &mut u64) -> Result<R>,
+    ) -> Result<R> {
+        self.charge_fault()?;
+        let mut g = self.inner.write();
         let inner = &mut *g;
-        if let Some(remaining) = &mut inner.fail_after {
-            if *remaining == 0 {
-                return Err(Error::Io("injected fault".into()));
-            }
-            *remaining -= 1;
-        }
         let data = inner
             .files
             .get_mut(id.0 as usize)
-            .and_then(|s| s.as_mut())
+            .and_then(Option::as_mut)
             .ok_or(Error::FileNotFound(id))?;
-        f(data, &mut inner.total)
+        f(data, &mut inner.writes)
     }
 
     /// Fault injection for failure testing: after `ops` more page
     /// accesses, every subsequent access fails with an I/O error until
-    /// [`Disk::clear_fault`] is called. Metadata operations (page counts,
-    /// file listing) are unaffected.
+    /// [`Disk::clear_fault`] is called. Exact under concurrency: `ops`
+    /// accesses succeed in total across all threads. File listing and
+    /// counter snapshots are unaffected.
     pub fn inject_fault_after(&self, ops: u64) {
-        self.inner.lock().fail_after = Some(ops);
+        self.fail_after.store(ops.min(NO_FAULT - 1), Relaxed);
     }
 
     /// Removes an injected fault.
     pub fn clear_fault(&self) {
-        self.inner.lock().fail_after = None;
+        self.fail_after.store(NO_FAULT, Relaxed);
     }
 
     /// Reads page `n` of `id`, charging one page read.
@@ -154,22 +261,18 @@ impl Disk {
     }
 
     /// Runs `f` against page `n` of `id` without copying it out, charging
-    /// one page read.
+    /// one page read. `f` runs under the shared guard: it must not call
+    /// back into this disk.
     pub fn with_page<R>(&self, id: FileId, n: u32, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        self.with_file(id, |data, total| {
+        self.read_file(id, |data, reads| {
             let len = data.pages.len() as u32;
             let page = data.pages.get(n as usize).ok_or(Error::PageOutOfBounds {
                 file: id,
                 page: n,
                 len,
             })?;
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
-            data.stats.reads += 1;
-            if seq {
-                data.stats.seq_reads += 1;
-            }
-            data.last_access = Some(n);
-            total.reads += 1;
+            data.note_read(n);
+            reads.fetch_add(1, Relaxed);
             Ok(f(page))
         })
     }
@@ -186,7 +289,7 @@ impl Disk {
     /// and one write, or as a single `update_page` when the old contents are
     /// irrelevant.
     pub fn update_page(&self, id: FileId, n: u32, f: impl FnOnce(&mut Page)) -> Result<()> {
-        self.with_file(id, |data, total| {
+        self.write_file(id, |data, writes| {
             let len = data.pages.len() as u32;
             let page = data
                 .pages
@@ -196,14 +299,9 @@ impl Disk {
                     page: n,
                     len,
                 })?;
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
-            data.stats.writes += 1;
-            if seq {
-                data.stats.seq_writes += 1;
-            }
-            data.last_access = Some(n);
-            total.writes += 1;
             f(page);
+            data.note_write(n);
+            *writes += 1;
             Ok(())
         })
     }
@@ -211,16 +309,11 @@ impl Disk {
     /// Appends a page to `id`, charging one page write; returns the new
     /// page's number.
     pub fn append_page(&self, id: FileId, page: &Page) -> Result<u32> {
-        self.with_file(id, |data, total| {
+        self.write_file(id, |data, writes| {
             let n = data.pages.len() as u32;
             data.pages.push(page.clone());
-            let seq = data.last_access == Some(n.wrapping_sub(1)) && n > 0;
-            data.stats.writes += 1;
-            if seq {
-                data.stats.seq_writes += 1;
-            }
-            data.last_access = Some(n);
-            total.writes += 1;
+            data.note_write(n);
+            *writes += 1;
             Ok(n)
         })
     }
@@ -228,11 +321,11 @@ impl Disk {
     /// Extends `id` with zeroed pages until it is at least `pages` long,
     /// charging one write per page actually added.
     pub fn extend_to(&self, id: FileId, pages: u32) -> Result<()> {
-        self.with_file(id, |data, total| {
+        self.write_file(id, |data, writes| {
             while (data.pages.len() as u32) < pages {
                 data.pages.push(Page::zeroed());
-                data.stats.writes += 1;
-                total.writes += 1;
+                data.writes += 1;
+                *writes += 1;
             }
             Ok(())
         })
@@ -240,34 +333,38 @@ impl Disk {
 
     /// Length of `id` in pages. Free: catalog metadata, not a page access.
     pub fn page_count(&self, id: FileId) -> Result<u32> {
-        self.with_file(id, |data, _| Ok(data.pages.len() as u32))
+        self.read_file(id, |data, _| Ok(data.pages.len() as u32))
     }
 
     /// Disk-wide cumulative counters.
     pub fn snapshot(&self) -> IoSnapshot {
-        self.inner.lock().total
+        let g = self.inner.read();
+        IoSnapshot {
+            reads: g.reads.load(Relaxed),
+            writes: g.writes,
+        }
     }
 
     /// Cumulative counters for one file.
     pub fn file_stats(&self, id: FileId) -> Result<FileStats> {
-        self.with_file(id, |data, _| Ok(data.stats))
+        self.read_file(id, |data, _| Ok(data.stats()))
     }
 
     /// Metadata for one file.
     pub fn file_info(&self, id: FileId) -> Result<FileInfo> {
-        self.with_file(id, |data, _| {
+        self.read_file(id, |data, _| {
             Ok(FileInfo {
                 id,
                 name: data.name.clone(),
                 pages: data.pages.len() as u32,
-                stats: data.stats,
+                stats: data.stats(),
             })
         })
     }
 
     /// Metadata for every live file, in creation order.
     pub fn list_files(&self) -> Vec<FileInfo> {
-        let g = self.inner.lock();
+        let g = self.inner.read();
         g.files
             .iter()
             .enumerate()
@@ -276,7 +373,7 @@ impl Disk {
                     id: FileId(i as u32),
                     name: data.name.clone(),
                     pages: data.pages.len() as u32,
-                    stats: data.stats,
+                    stats: data.stats(),
                 })
             })
             .collect()
@@ -285,23 +382,23 @@ impl Disk {
     /// Resets all counters (global and per-file) to zero. File contents are
     /// untouched. Used to separate build cost from query cost in experiments.
     pub fn reset_stats(&self) {
-        let mut g = self.inner.lock();
-        g.total = IoSnapshot::default();
+        let mut g = self.inner.write();
+        *g.reads.get_mut() = 0;
+        g.writes = 0;
         for slot in g.files.iter_mut().flatten() {
-            slot.stats = FileStats::default();
-            slot.last_access = None;
+            slot.reset_stats();
         }
     }
 
     /// Total pages currently allocated across all live files — the
     /// measured counterpart of the paper's storage cost `SC`.
     pub fn total_pages(&self) -> u64 {
-        let g = self.inner.lock();
+        let g = self.inner.read();
         g.files.iter().flatten().map(|d| d.pages.len() as u64).sum()
     }
 
     pub(crate) fn dump_files(&self) -> Vec<(u32, String, Vec<Page>)> {
-        let g = self.inner.lock();
+        let g = self.inner.read();
         g.files
             .iter()
             .enumerate()
@@ -313,19 +410,15 @@ impl Disk {
     }
 
     pub(crate) fn restore_files(&self, files: Vec<(u32, String, Vec<Page>)>) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.write();
         g.files.clear();
-        g.total = IoSnapshot::default();
+        *g.reads.get_mut() = 0;
+        g.writes = 0;
         for (idx, name, pages) in files {
             while g.files.len() < idx as usize {
                 g.files.push(None);
             }
-            g.files.push(Some(FileData {
-                name,
-                pages,
-                stats: FileStats::default(),
-                last_access: None,
-            }));
+            g.files.push(Some(FileData::new(name, pages)));
         }
     }
 }
@@ -338,12 +431,13 @@ impl Default for Disk {
 
 impl std::fmt::Debug for Disk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
+        let g = self.inner.read();
         let live = g.files.iter().flatten().count();
         write!(
             f,
             "Disk {{ files: {live}, reads: {}, writes: {} }}",
-            g.total.reads, g.total.writes
+            g.reads.load(Relaxed),
+            g.writes
         )
     }
 }
@@ -356,6 +450,15 @@ impl std::fmt::Debug for Disk {
 pub trait PageIo: Send + Sync {
     /// Reads page `n` of `id`.
     fn read_page(&self, id: FileId, n: u32) -> Result<Page>;
+    /// Runs `f` on page `n` of `id`, charged exactly like
+    /// [`read_page`](PageIo::read_page). The default reads a copy;
+    /// [`Disk`] lends its stored page instead. `f` must not call back into
+    /// this `PageIo`.
+    // COST: 1 pages
+    fn read_with(&self, id: FileId, n: u32, f: &mut dyn FnMut(&Page)) -> Result<()> {
+        f(&self.read_page(id, n)?);
+        Ok(())
+    }
     /// Overwrites page `n` of `id`.
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()>;
     /// Mutates page `n` of `id` in place.
@@ -380,6 +483,10 @@ impl PageIo for Disk {
     // COST: 1 pages
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         Disk::read_page(self, id, n)
+    }
+    // COST: 1 pages
+    fn read_with(&self, id: FileId, n: u32, f: &mut dyn FnMut(&Page)) -> Result<()> {
+        Disk::with_page(self, id, n, f)
     }
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
         Disk::write_page(self, id, n, page)
@@ -409,6 +516,10 @@ impl PageIo for Arc<Disk> {
     fn read_page(&self, id: FileId, n: u32) -> Result<Page> {
         Disk::read_page(self, id, n)
     }
+    // COST: 1 pages
+    fn read_with(&self, id: FileId, n: u32, f: &mut dyn FnMut(&Page)) -> Result<()> {
+        Disk::with_page(self, id, n, f)
+    }
     fn write_page(&self, id: FileId, n: u32, page: &Page) -> Result<()> {
         Disk::write_page(self, id, n, page)
     }
@@ -435,6 +546,7 @@ impl PageIo for Arc<Disk> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn create_and_roundtrip() {
@@ -594,5 +706,107 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(disk.snapshot().reads, 400);
+    }
+
+    /// Iterations per thread in the concurrency tests (kept small under
+    /// Miri, where every step is interpreted).
+    const ITERS: u64 = if cfg!(miri) { 20 } else { 2_000 };
+
+    #[test]
+    fn concurrent_readers_and_writer_count_exactly() {
+        let disk = Disk::new();
+        let a = disk.create_file("a");
+        let b = disk.create_file("b");
+        disk.extend_to(a, 4).unwrap();
+        disk.extend_to(b, 4).unwrap();
+        let before = disk.snapshot();
+        // All five threads start together, so reads overlap the writes.
+        let start = Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (disk, start) = (&disk, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..ITERS {
+                        let id = if (i + t) % 2 == 0 { a } else { b };
+                        disk.with_page(id, (i % 4) as u32, |p| p.read_u8(0))
+                            .unwrap();
+                    }
+                });
+            }
+            start.wait();
+            for i in 0..ITERS {
+                disk.update_page(a, (i % 4) as u32, |p| p.write_u8(0, i as u8))
+                    .unwrap();
+            }
+        });
+        let delta = disk.snapshot().since(before);
+        assert_eq!((delta.reads, delta.writes), (4 * ITERS, ITERS));
+        // Each reader alternates files, so each file gets half its reads.
+        let (fa, fb) = (disk.file_stats(a).unwrap(), disk.file_stats(b).unwrap());
+        assert_eq!((fa.reads, fb.reads), (2 * ITERS, 2 * ITERS));
+        assert_eq!((fa.writes, fb.writes), (4 + ITERS, 4));
+    }
+
+    #[test]
+    fn readers_never_see_a_torn_page() {
+        let disk = Disk::new();
+        let f = disk.create_file("t");
+        disk.extend_to(f, 1).unwrap();
+        let start = Barrier::new(5);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (disk, start) = (&disk, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..ITERS {
+                        let uniform = disk
+                            .with_page(f, 0, |p| {
+                                let bytes = p.as_bytes();
+                                bytes.iter().all(|&x| x == bytes[0])
+                            })
+                            .unwrap();
+                        assert!(uniform, "reader saw a half-written page");
+                    }
+                });
+            }
+            start.wait();
+            // Each write replaces the whole page with one repeated byte.
+            for i in 0..ITERS {
+                let mut page = Page::zeroed();
+                page.fill(0, crate::PAGE_SIZE, i as u8);
+                disk.write_page(f, 0, &page).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn injected_fault_budget_is_exact_across_threads() {
+        let disk = Disk::new();
+        let f = disk.create_file("t");
+        disk.extend_to(f, 1).unwrap();
+        let k = ITERS;
+        disk.inject_fault_after(k);
+        let start = Barrier::new(4);
+        let ok: u64 = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (disk, start) = (&disk, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..ITERS)
+                            .filter(|_| disk.with_page(f, 0, |_| ()).is_ok())
+                            .count() as u64
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(ok, k, "exactly k accesses succeed in total");
+        assert_eq!(disk.snapshot().reads, k);
+        assert!(disk.read_page(f, 0).is_err());
+        assert!(disk.update_page(f, 0, |_| ()).is_err());
+        disk.clear_fault();
+        assert!(disk.read_page(f, 0).is_ok());
     }
 }

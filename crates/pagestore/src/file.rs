@@ -46,6 +46,14 @@ impl PagedFile {
         self.io.read_page(self.id, n)
     }
 
+    /// Runs `f` on page `n` without copying it out of a raw
+    /// [`Disk`](crate::Disk); charged exactly like [`read`](Self::read).
+    /// `f` must not touch this file's `PageIo`.
+    // COST: 1 pages
+    pub fn read_with(&self, n: u32, mut f: impl FnMut(&Page)) -> Result<()> {
+        self.io.read_with(self.id, n, &mut f)
+    }
+
     /// Overwrites page `n`.
     pub fn write(&self, n: u32, page: &Page) -> Result<()> {
         self.io.write_page(self.id, n, page)
@@ -155,6 +163,20 @@ mod tests {
         p.write_u16(0, 6);
         f.write(0, &p).unwrap();
         assert_eq!(f.read(0).unwrap().read_u16(0), 6);
+    }
+
+    #[test]
+    fn read_with_charges_like_read() {
+        let (disk, f) = file();
+        let mut p = Page::zeroed();
+        p.write_u32(4, 77);
+        f.append(&p).unwrap();
+        let before = disk.snapshot();
+        let mut seen = 0;
+        f.read_with(0, |page| seen = page.read_u32(4)).unwrap();
+        assert_eq!(seen, 77);
+        assert_eq!(disk.snapshot().since(before).reads, 1);
+        assert!(f.read_with(1, |_| unreachable!()).is_err());
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! * binary serialization of a whole disk image ([`Disk::save_to`] /
 //!   [`Disk::load_from`]) so example databases can be persisted.
 //!
-//! All counters are updated under a single [`parking_lot::Mutex`]; the
-//! simulator is shared between the signature files, the OID file, the object
-//! store and the nested index via `Arc<Disk>`, exactly like the single disk
-//! arm the paper's model charges.
+//! The file table sits behind one [`parking_lot::RwLock`]: page reads take
+//! it shared, bump atomic read counters and lend the stored page to the
+//! caller without copying ([`Disk::with_page`], [`PageIo::read_with`]);
+//! writes take it exclusively. The simulator is shared between the signature
+//! files, the OID file, the object store and the nested index via
+//! `Arc<Disk>`, and every access is still counted, exactly like the single
+//! disk arm the paper's model charges.
 //!
 //! ```
 //! use setsig_pagestore::{Disk, Page, PAGE_SIZE};

@@ -20,8 +20,9 @@
 //! documented blind spot of a zero-dependency graph, pinned by the
 //! fixture corpus rather than hidden (see DESIGN.md §9).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use crate::locks::{self, LockKind};
 use crate::scan::{Tok, TokKind};
 use crate::workspace::{FileClass, SourceFile};
 
@@ -145,14 +146,46 @@ impl<'a> CallGraph<'a> {
         for (fid, f) in graph.fns.iter().enumerate() {
             graph.by_name.entry(f.name.clone()).or_default().push(fid);
         }
+        // Per file, the RwLock fields it declares: `.read()`/`.write()` on
+        // one of them is a lock acquire, not a call to a workspace fn
+        // that shares the name (`PagedFile::read`), so it resolves to
+        // nothing — the same rule the lock lints apply.
+        let rw_fields: Vec<HashSet<String>> = files
+            .iter()
+            .map(|file| {
+                locks::collect_decls(file)
+                    .into_iter()
+                    .filter(|d| d.kind == LockKind::RwLock)
+                    .map(|d| d.field)
+                    .collect()
+            })
+            .collect();
         for ci in 0..graph.calls.len() {
-            let targets = graph.resolve(&graph.calls[ci]);
+            let call = &graph.calls[ci];
+            let targets = if graph.is_rwlock_acquire(call, &rw_fields[call.file]) {
+                Vec::new()
+            } else {
+                graph.resolve(call)
+            };
             if let Some(caller) = graph.calls[ci].caller {
                 graph.calls_by_fn[caller].push(ci);
             }
             graph.calls[ci].targets = targets;
         }
         graph
+    }
+
+    /// True when `call` is a zero-argument `.read()`/`.write()` on one of
+    /// the file's `rw_fields`.
+    fn is_rwlock_acquire(&self, call: &CallSite, rw_fields: &HashSet<String>) -> bool {
+        let CallKind::Method { recv: Some(recv) } = &call.kind else {
+            return false;
+        };
+        let toks = &self.files[call.file].scanned.toks;
+        matches!(call.name.as_str(), "read" | "write")
+            && rw_fields.contains(recv)
+            && toks.get(call.tok + 1).is_some_and(|t| t.is_punct('('))
+            && toks.get(call.tok + 2).is_some_and(|t| t.is_punct(')'))
     }
 
     /// All definitions named `name`.

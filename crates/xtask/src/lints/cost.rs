@@ -346,7 +346,7 @@ pub struct CostRow {
     /// Inferred deepest I/O nest (0 when the fn performs no I/O — a
     /// contract above its callers' composition point).
     pub depth: u32,
-    /// The deepest nest rendered symbolically (`ones * read_slice_into^1`).
+    /// The deepest nest rendered symbolically (`ones * combine_slice^1`).
     pub nest: String,
     /// Definition site, for drift diagnostics.
     pub file_rel: String,

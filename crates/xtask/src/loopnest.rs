@@ -789,6 +789,22 @@ mod tests {
     }
 
     #[test]
+    fn rwlock_acquire_is_not_a_contracted_read() {
+        let f = file(
+            "struct File; impl File { fn read(&self, n: u32) { read_page(n); } }\n\
+             struct Disk { inner: RwLock<u32> }\n\
+             impl Disk { fn snapshot(&self) -> u32 { *self.inner.read() } }\n\
+             fn scan(f: &File) { for p in 0..4 { f.read(p); } }\n",
+        );
+        let graph = CallGraph::build(&[&f]);
+        let fid = |name: &str| graph.fns.iter().position(|d| d.name == name).unwrap();
+        let contracts = HashMap::from([(fid("read"), 0)]);
+        let an = analyze(&graph, &contracts);
+        assert_eq!(an.io_depth[fid("snapshot")], None);
+        assert_eq!(an.io_depth[fid("scan")], Some(1));
+    }
+
+    #[test]
     fn chunks_pattern_names_the_collection() {
         let an = analyze_src("fn f(xs: &[u8]) { for c in xs.chunks(16) { read_page(0); } }\n");
         let fid = an.1.iter().position(|n| n == "f").unwrap();
