@@ -1,6 +1,7 @@
 //! Observability overhead: the same BSSF query stream with the recorder
-//! detached (the default — the `obs: None` fast path must cost nothing
-//! beyond the per-query counter allocation) and attached (ring sink).
+//! detached (the default — the `obs: None` fast path reads no clock and
+//! builds no event) and attached (the facility's pre-resolved metric
+//! handles plus one ring-sink write per query).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setsig_bench::{bench_db, bench_workload, subset_query, superset_query};

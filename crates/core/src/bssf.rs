@@ -66,7 +66,7 @@ pub struct Bssf {
     pool: Option<Arc<BufferPool>>,
     /// Observability recorder; `None` (the default) keeps the query path
     /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
+    obs: Option<setsig_obs::FacilityRecorder>,
 }
 
 impl Bssf {
@@ -132,8 +132,11 @@ impl Bssf {
     /// Attached, every `candidates*` call emits a
     /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `bssf.*`
     /// metrics; detached, the query path does no observability work at all.
+    /// Attaching builds the facility's
+    /// [`FacilityRecorder`](setsig_obs::FacilityRecorder), so queries
+    /// record through pre-resolved handles and never look up a name.
     pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
+        self.obs = rec.map(|rec| setsig_obs::FacilityRecorder::new(rec, "bssf"));
     }
 
     /// The signature design parameters.
@@ -463,7 +466,7 @@ impl Bssf {
         let set = self.resolve(positions, &ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
-            o.finish(query, self.outcome(Some("smart"), &ctr, &set));
+            o.finish(query, self.outcome(true, &ctr, &set));
         }
         Ok((set, stats))
     }
@@ -489,7 +492,7 @@ impl Bssf {
         let set = self.resolve(positions, &ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
-            o.finish(query, self.outcome(Some("smart"), &ctr, &set));
+            o.finish(query, self.outcome(true, &ctr, &set));
         }
         Ok((set, stats))
     }
@@ -498,13 +501,12 @@ impl Bssf {
     /// [`QueryObs::finish`].
     fn outcome<'a>(
         &self,
-        strategy: Option<&'static str>,
+        smart: bool,
         ctr: &'a ScanCounters,
         set: &'a CandidateSet,
     ) -> QueryOutcome<'a> {
         QueryOutcome {
-            facility: "bssf",
-            strategy,
+            smart,
             geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
             ctr: Some(ctr),
             track_slices: true,
@@ -541,7 +543,7 @@ impl SetAccessFacility for Bssf {
         let set = self.resolve(positions, &ctr)?;
         let stats = ctr.stats();
         if let Some(o) = obs {
-            o.finish(query, self.outcome(None, &ctr, &set));
+            o.finish(query, self.outcome(false, &ctr, &set));
         }
         Ok((set, Some(stats)))
     }
@@ -978,6 +980,72 @@ mod tests {
         }
         assert!((0..64).any(|j| b.slices[j].len().unwrap() == 1));
         assert!((0..64).any(|j| b.slices[j].len().unwrap() == 2));
+    }
+
+    fn recorded(n: u64) -> (Arc<Disk>, Bssf, SetQuery) {
+        let (d, mut b) = bssf(64, 2);
+        for i in 0..n {
+            let set = [ElementKey::from(i % 7), ElementKey::from(100 + i % 3)];
+            b.insert(Oid::new(i), &set).unwrap();
+        }
+        let q = SetQuery::has_subset(vec![ElementKey::from(1u64)]);
+        (d, b, q)
+    }
+
+    #[test]
+    fn reattached_recorder_receives_only_later_queries() {
+        let (_d, mut b, q) = recorded(40);
+        let first = Arc::new(setsig_obs::Recorder::new());
+        let ring = Arc::new(setsig_obs::RingSink::new(8));
+        let second = Arc::new(
+            setsig_obs::Recorder::new()
+                .with_sink(Arc::clone(&ring) as Arc<dyn setsig_obs::TraceSink>),
+        );
+        let queries =
+            |rec: &setsig_obs::Recorder| rec.registry().snapshot().get_counter("bssf.queries");
+        b.set_recorder(Some(Arc::clone(&first)));
+        b.candidates(&q).unwrap();
+        b.set_recorder(Some(Arc::clone(&second)));
+        b.candidates(&q).unwrap();
+        b.candidates(&q).unwrap();
+        assert_eq!(queries(&first), Some(1));
+        assert_eq!(queries(&second), Some(2));
+        assert_eq!(ring.len(), 2);
+        b.set_recorder(None);
+        b.candidates(&q).unwrap();
+        assert_eq!(queries(&first), Some(1));
+        assert_eq!(queries(&second), Some(2));
+        assert_eq!(ring.len(), 2, "detached: no event");
+    }
+
+    #[test]
+    fn concurrent_queries_on_one_bssf_record_exact_totals() {
+        let (_d, mut b, q) = recorded(200);
+        let rec = Arc::new(setsig_obs::Recorder::new());
+        b.set_recorder(Some(Arc::clone(&rec)));
+        let per_thread = 50;
+        let b = &b;
+        let q = &q;
+        // All eight start together, so the first queries also race on
+        // registering the handles.
+        let start = &std::sync::Barrier::new(8);
+        let candidates: usize = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(move || {
+                        start.wait();
+                        (0..per_thread)
+                            .map(|_| b.candidates(q).unwrap().len())
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert!(candidates > 0);
+        let snap = rec.registry().snapshot();
+        assert_eq!(snap.get_counter("bssf.queries"), Some(8 * per_thread));
+        assert_eq!(snap.get_counter("bssf.candidates"), Some(candidates as u64));
     }
 }
 

@@ -121,7 +121,7 @@ pub struct Fssf {
     meta_file: Option<PagedFile>,
     /// Observability recorder; `None` (the default) keeps the query path
     /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
+    obs: Option<setsig_obs::FacilityRecorder>,
 }
 
 impl Fssf {
@@ -143,8 +143,11 @@ impl Fssf {
     /// Attached, every `candidates*` call emits a
     /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `fssf.*`
     /// metrics; detached, the query path does no observability work at all.
+    /// Attaching builds the facility's
+    /// [`FacilityRecorder`](setsig_obs::FacilityRecorder), so queries
+    /// record through pre-resolved handles and never look up a name.
     pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
+        self.obs = rec.map(|rec| setsig_obs::FacilityRecorder::new(rec, "fssf"));
     }
 
     /// The design parameters.
@@ -389,8 +392,7 @@ impl SetAccessFacility for Fssf {
             o.finish(
                 query,
                 QueryOutcome {
-                    facility: "fssf",
-                    strategy: None,
+                    smart: false,
                     geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
                     ctr: Some(&ctr),
                     track_slices: true,

@@ -1,23 +1,24 @@
 //! Glue between the facilities and the `setsig-obs` recorder.
 //!
-//! A facility holds an `Option<Arc<Recorder>>` (default `None`). At each
-//! `candidates*` entry it calls [`QueryObs::start`]; with no recorder
-//! attached that returns `None` without reading the clock or the cache
-//! counters, so disabled observability adds nothing to the query path.
+//! A facility holds an `Option<FacilityRecorder>` (default `None`), built
+//! once when a recorder is attached. At each `candidates*` entry it calls
+//! [`QueryObs::start`]; with no recorder attached that returns `None`
+//! without reading the clock or the cache counters, so disabled
+//! observability adds nothing to the query path. Attached, the armed
+//! context borrows the facility's handle bundle, and the finished event is
+//! plain `Copy` data: recording a query allocates nothing.
 
 use crate::facility::{CandidateSet, ScanCounters};
 use crate::query::SetQuery;
-use setsig_obs::{QueryTrace, Recorder};
+use setsig_obs::{FacilityRecorder, QueryTrace};
 use setsig_pagestore::CacheStats;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything the trace event needs that only the facility knows.
 pub(crate) struct QueryOutcome<'a> {
-    /// Facility short name, lowercase (`"ssf"`, `"bssf"`, …).
-    pub facility: &'static str,
-    /// Strategy suffix for the predicate field (`Some("smart")`), if any.
-    pub strategy: Option<&'static str>,
+    /// The query ran a smart (reduced-scan) strategy; its predicate field
+    /// carries the `:smart` suffix.
+    pub smart: bool,
     /// Signature geometry `(F, m)`, for facilities that have one.
     pub geometry: Option<(u32, u32)>,
     /// The query's own counters; `None` when the facility tracks no page
@@ -32,24 +33,24 @@ pub(crate) struct QueryOutcome<'a> {
     pub cache_after: Option<CacheStats>,
 }
 
-/// Armed observability context for one query: holds the recorder, the
-/// entry timestamp and the entry cache counters.
-pub(crate) struct QueryObs {
-    rec: Arc<Recorder>,
+/// Armed observability context for one query: borrows the facility's
+/// recorder handles and holds the entry timestamp and cache counters.
+pub(crate) struct QueryObs<'r> {
+    rec: &'r FacilityRecorder,
     start: Instant,
     cache_before: Option<CacheStats>,
 }
 
-impl QueryObs {
+impl<'r> QueryObs<'r> {
     /// Arms observability for one query, or returns `None` (doing no work
     /// at all) when no recorder is attached. `cache` is only invoked when
     /// a recorder is present.
     pub(crate) fn start(
-        rec: &Option<Arc<Recorder>>,
+        rec: &'r Option<FacilityRecorder>,
         cache: impl FnOnce() -> Option<CacheStats>,
-    ) -> Option<QueryObs> {
-        rec.as_ref().map(|r| QueryObs {
-            rec: Arc::clone(r),
+    ) -> Option<QueryObs<'r>> {
+        rec.as_ref().map(|rec| QueryObs {
+            rec,
             start: Instant::now(),
             cache_before: cache(),
         })
@@ -58,10 +59,6 @@ impl QueryObs {
     /// Builds the [`QueryTrace`] for a completed query and hands it to the
     /// recorder (metrics + sinks).
     pub(crate) fn finish(self, query: &SetQuery, out: QueryOutcome<'_>) {
-        let predicate = match out.strategy {
-            Some(s) => format!("{:?}:{s}", query.predicate),
-            None => format!("{:?}", query.predicate),
-        };
         let stats = out.ctr.map(ScanCounters::stats);
         let (slices, early_exit) = out.ctr.map(ScanCounters::probe).unwrap_or((0, false));
         let (cache_hits, cache_misses, cache_pinned_hits) =
@@ -73,9 +70,9 @@ impl QueryObs {
                 ),
                 _ => (None, None, None),
             };
-        self.rec.record_query(&QueryTrace {
-            facility: out.facility.to_owned(),
-            predicate,
+        self.rec.record(&QueryTrace {
+            facility: self.rec.facility(),
+            predicate: query.predicate.trace_label(out.smart),
             d_q: query.elements.len() as u64,
             f_bits: out.geometry.map(|(f, _)| f),
             m_weight: out.geometry.map(|(_, m)| m),

@@ -36,6 +36,23 @@ impl SetPredicate {
             SetPredicate::Contains => "e ∈ T",
         }
     }
+
+    /// The predicate field of a query's trace event: the variant name,
+    /// suffixed with `:smart` for the smart (reduced-scan) strategies.
+    pub fn trace_label(self, smart: bool) -> &'static str {
+        match (self, smart) {
+            (SetPredicate::HasSubset, false) => "HasSubset",
+            (SetPredicate::HasSubset, true) => "HasSubset:smart",
+            (SetPredicate::InSubset, false) => "InSubset",
+            (SetPredicate::InSubset, true) => "InSubset:smart",
+            (SetPredicate::Equals, false) => "Equals",
+            (SetPredicate::Equals, true) => "Equals:smart",
+            (SetPredicate::Overlaps, false) => "Overlaps",
+            (SetPredicate::Overlaps, true) => "Overlaps:smart",
+            (SetPredicate::Contains, false) => "Contains",
+            (SetPredicate::Contains, true) => "Contains:smart",
+        }
+    }
 }
 
 impl std::fmt::Display for SetPredicate {
@@ -127,6 +144,20 @@ mod tests {
 
     fn keys(elems: &[&str]) -> Vec<ElementKey> {
         elems.iter().map(ElementKey::from).collect()
+    }
+
+    #[test]
+    fn trace_labels_match_the_debug_names() {
+        for p in [
+            SetPredicate::HasSubset,
+            SetPredicate::InSubset,
+            SetPredicate::Equals,
+            SetPredicate::Overlaps,
+            SetPredicate::Contains,
+        ] {
+            assert_eq!(p.trace_label(false), format!("{p:?}"));
+            assert_eq!(p.trace_label(true), format!("{p:?}:smart"));
+        }
     }
 
     #[test]

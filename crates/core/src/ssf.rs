@@ -39,7 +39,7 @@ pub struct Ssf {
     pool: Option<Arc<BufferPool>>,
     /// Optional observability recorder; `None` (the default) disables all
     /// tracing/metrics work on the query path.
-    obs: Option<Arc<setsig_obs::Recorder>>,
+    obs: Option<setsig_obs::FacilityRecorder>,
 }
 
 impl Ssf {
@@ -103,8 +103,11 @@ impl Ssf {
     /// a recorder attached, every `candidates*` call emits a
     /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the recorder's
     /// metrics; without one, the query path does no observability work.
+    /// Attaching builds the facility's
+    /// [`FacilityRecorder`](setsig_obs::FacilityRecorder), so queries
+    /// record through pre-resolved handles and never look up a name.
     pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
+        self.obs = rec.map(|rec| setsig_obs::FacilityRecorder::new(rec, "ssf"));
     }
 
     /// The signature design parameters.
@@ -330,8 +333,7 @@ impl SetAccessFacility for Ssf {
             o.finish(
                 query,
                 QueryOutcome {
-                    facility: "ssf",
-                    strategy: None,
+                    smart: false,
                     geometry: Some((self.cfg.f_bits(), self.cfg.m_weight())),
                     ctr: Some(&ctr),
                     track_slices: false,

@@ -21,7 +21,7 @@ pub struct Nix {
     meta_file: Option<setsig_pagestore::PagedFile>,
     /// Observability recorder; `None` (the default) keeps the query path
     /// free of any clock or metrics work.
-    obs: Option<Arc<setsig_obs::Recorder>>,
+    obs: Option<setsig_obs::FacilityRecorder>,
 }
 
 impl Nix {
@@ -45,28 +45,26 @@ impl Nix {
     /// Attached, every `candidates*` call emits a
     /// [`QueryTrace`](setsig_obs::QueryTrace) and updates the `nix.*`
     /// metrics; detached, the query path does no observability work at all.
+    /// Attaching builds the facility's
+    /// [`FacilityRecorder`](setsig_obs::FacilityRecorder), so queries
+    /// record through pre-resolved handles and never look up a name.
     pub fn set_recorder(&mut self, rec: Option<Arc<setsig_obs::Recorder>>) {
-        self.obs = rec;
+        self.obs = rec.map(|rec| setsig_obs::FacilityRecorder::new(rec, "nix"));
     }
 
     /// Emits the trace event for one completed query, when a recorder is
     /// attached. NIX tracks no page accounting (its cost is the B-tree
     /// look-ups), so the page and slice fields stay `null`.
     fn trace_query(
-        &self,
-        armed: Option<(Arc<setsig_obs::Recorder>, Instant)>,
+        armed: Option<(&setsig_obs::FacilityRecorder, Instant)>,
         query: &SetQuery,
-        strategy: Option<&str>,
+        smart: bool,
         set: &CandidateSet,
     ) {
         let Some((rec, t0)) = armed else { return };
-        let predicate = match strategy {
-            Some(s) => format!("{:?}:{s}", query.predicate),
-            None => format!("{:?}", query.predicate),
-        };
-        rec.record_query(&setsig_obs::QueryTrace {
-            facility: "nix".to_owned(),
-            predicate,
+        rec.record(&setsig_obs::QueryTrace {
+            facility: rec.facility(),
+            predicate: query.predicate.trace_label(smart),
             d_q: query.elements.len() as u64,
             f_bits: None,
             m_weight: None,
@@ -85,8 +83,8 @@ impl Nix {
 
     /// Arms the trace context iff a recorder is attached (no clock read
     /// otherwise).
-    fn arm_obs(&self) -> Option<(Arc<setsig_obs::Recorder>, Instant)> {
-        self.obs.as_ref().map(|r| (Arc::clone(r), Instant::now()))
+    fn arm_obs(&self) -> Option<(&setsig_obs::FacilityRecorder, Instant)> {
+        self.obs.as_ref().map(|rec| (rec, Instant::now()))
     }
 
     /// The underlying B-tree (stats, integrity checks).
@@ -146,7 +144,7 @@ impl Nix {
         let truncated = SetQuery::has_subset(query.elements[..take].to_vec());
         let mut cands = self.superset_candidates(&truncated)?;
         cands.exact = take == query.elements.len();
-        self.trace_query(armed, query, Some("smart"), &cands);
+        Self::trace_query(armed, query, true, &cands);
         Ok(cands)
     }
 
@@ -222,7 +220,7 @@ impl SetAccessFacility for Nix {
             SetPredicate::Equals => self.equals_candidates(query)?,
             SetPredicate::Overlaps => self.overlap_candidates(query)?,
         };
-        self.trace_query(armed, query, None, &set);
+        Self::trace_query(armed, query, false, &set);
         // NIX has no scan engine: its cost model is rc·D_q B-tree reads,
         // measured at the disk, not per-query counters.
         Ok((set, None))

@@ -1,9 +1,12 @@
 //! The metrics registry: counters, gauges and log2-bucket histograms.
 //!
-//! Updates are lock-free (`AtomicU64`); only name→metric resolution takes
-//! the registry lock, and callers that care hold the returned `Arc` so the
-//! lookup happens once. Snapshots are point-in-time copies safe to render
-//! or diff while queries keep running.
+//! Updates are lock-free (`AtomicU64`). Only name→metric resolution takes
+//! the registry lock, and it allocates the owned name only when the name
+//! is registered for the first time. Hot callers resolve once and keep the
+//! returned `Arc`: [`FacilityRecorder`](crate::FacilityRecorder) holds its
+//! facility's query metrics, the query service its queue and shard
+//! metrics. Snapshots are point-in-time copies safe to render or diff
+//! while queries keep running.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -249,6 +252,7 @@ impl MetricsSnapshot {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -275,38 +279,39 @@ impl MetricsRegistry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.lock();
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => Arc::new(Counter::default()),
+        match self.resolve(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => Arc::default(),
         }
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock();
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => Arc::new(Gauge::default()),
+        match self.resolve(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => Arc::default(),
         }
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.lock();
-        match m
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => Arc::new(Histogram::new()),
+        match self.resolve(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => Arc::default(),
         }
+    }
+
+    /// The metric registered under `name`, registering `make()` first when
+    /// the name is new. Looks up by `&str`; only a first registration
+    /// allocates the owned key.
+    fn resolve(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut m = self.metrics.lock();
+        if let Some(metric) = m.get(name) {
+            return metric.clone();
+        }
+        let metric = make();
+        m.insert(name.to_owned(), metric.clone());
+        metric
     }
 
     /// Captures every metric's current value.

@@ -1,7 +1,7 @@
 //! Structured per-query trace events and the sinks that receive them.
 
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 
 /// One completed `candidates*` call, as seen by the facility that ran it.
@@ -9,14 +9,16 @@ use std::io::Write;
 /// Fields that do not apply to a facility are `None` (e.g. NIX has no
 /// signature geometry and reports no page stats of its own; SSF touches no
 /// slices). The JSONL rendering of this struct is the stable trace schema
-/// documented in DESIGN.md §7.
-#[derive(Debug, Clone, PartialEq)]
+/// documented in DESIGN.md §7. Both labels are `&'static str`, so an
+/// event is plain `Copy` data: building, forwarding and buffering one
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryTrace {
     /// Facility short name, lowercase (`ssf`, `bssf`, `fssf`, `nix`).
-    pub facility: String,
+    pub facility: &'static str,
     /// Predicate kind (`HasSubset`, `InSubset`, `Equals`, `Overlaps`,
     /// `Contains`), optionally suffixed with the strategy (`:smart`).
-    pub predicate: String,
+    pub predicate: &'static str,
     /// Query cardinality `D_q`.
     pub d_q: u64,
     /// Signature width `F` in bits, where the facility has one.
@@ -48,25 +50,36 @@ pub struct QueryTrace {
     pub latency_ns: u64,
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A string rendered as the body of a JSON string literal: minimal
+/// escaping of quotes, backslash and control characters.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        Ok(())
     }
 }
 
-fn push_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
-    match v {
-        Some(v) => out.push_str(&format!(",\"{key}\":{v}")),
-        None => out.push_str(&format!(",\"{key}\":null")),
+/// An optional measurement rendered as a JSON number or `null`.
+struct OrNull(Option<u64>);
+
+impl fmt::Display for OrNull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) => write!(f, "{v}"),
+            None => f.write_str("null"),
+        }
     }
 }
 
@@ -75,23 +88,30 @@ impl QueryTrace {
     /// key set is fixed; absent measurements render as `null`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"facility\":\"");
-        escape_json(&self.facility, &mut out);
-        out.push_str("\",\"predicate\":\"");
-        escape_json(&self.predicate, &mut out);
-        out.push_str(&format!("\",\"d_q\":{}", self.d_q));
-        push_opt_u64(&mut out, "f_bits", self.f_bits.map(u64::from));
-        push_opt_u64(&mut out, "m_weight", self.m_weight.map(u64::from));
-        push_opt_u64(&mut out, "slices_touched", self.slices_touched);
-        out.push_str(&format!(",\"early_exit\":{}", self.early_exit));
-        push_opt_u64(&mut out, "logical_pages", self.logical_pages);
-        out.push_str(&format!(",\"candidates\":{}", self.candidates));
-        out.push_str(&format!(",\"exact\":{}", self.exact));
-        push_opt_u64(&mut out, "false_drops", self.false_drops);
-        push_opt_u64(&mut out, "cache_hits", self.cache_hits);
-        push_opt_u64(&mut out, "cache_misses", self.cache_misses);
-        push_opt_u64(&mut out, "cache_pinned_hits", self.cache_pinned_hits);
-        out.push_str(&format!(",\"latency_ns\":{}}}", self.latency_ns));
+        // Formatting into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"facility\":\"{}\",\"predicate\":\"{}\",\"d_q\":{},\
+             \"f_bits\":{},\"m_weight\":{},\"slices_touched\":{},\
+             \"early_exit\":{},\"logical_pages\":{},\"candidates\":{},\
+             \"exact\":{},\"false_drops\":{},\"cache_hits\":{},\
+             \"cache_misses\":{},\"cache_pinned_hits\":{},\"latency_ns\":{}}}",
+            Escaped(self.facility),
+            Escaped(self.predicate),
+            self.d_q,
+            OrNull(self.f_bits.map(u64::from)),
+            OrNull(self.m_weight.map(u64::from)),
+            OrNull(self.slices_touched),
+            self.early_exit,
+            OrNull(self.logical_pages),
+            self.candidates,
+            self.exact,
+            OrNull(self.false_drops),
+            OrNull(self.cache_hits),
+            OrNull(self.cache_misses),
+            OrNull(self.cache_pinned_hits),
+            self.latency_ns,
+        );
         out
     }
 }
@@ -103,50 +123,79 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, ev: &QueryTrace);
 }
 
-/// A bounded in-memory ring of the most recent events.
+/// A bounded in-memory ring of the most recent events. All `cap` slots
+/// are reserved at construction; once full, each event overwrites the
+/// oldest in place, so recording never allocates or drops.
 pub struct RingSink {
     // LOCK-ORDER: obs.trace_ring leaf
-    buf: Mutex<VecDeque<QueryTrace>>,
+    ring: Mutex<Ring>,
     cap: usize,
+}
+
+/// The ring's slots: filled in arrival order up to `cap`, then
+/// overwritten starting from the oldest. `next` is the slot the next
+/// event goes to — the oldest event once the ring is full.
+struct Ring {
+    slots: Vec<QueryTrace>,
+    next: usize,
+}
+
+impl Ring {
+    /// The buffered events, oldest first.
+    fn ordered(&self) -> Vec<QueryTrace> {
+        let (newer, older) = self.slots.split_at(self.next);
+        older.iter().chain(newer).copied().collect()
+    }
 }
 
 impl RingSink {
     /// A ring keeping the most recent `cap` events (`cap ≥ 1`).
     pub fn new(cap: usize) -> Self {
+        let cap = cap.max(1);
         RingSink {
-            buf: Mutex::new(VecDeque::new()),
-            cap: cap.max(1),
+            ring: Mutex::new(Ring {
+                slots: Vec::with_capacity(cap),
+                next: 0,
+            }),
+            cap,
         }
     }
 
     /// Copies out the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<QueryTrace> {
-        self.buf.lock().iter().cloned().collect()
+        self.ring.lock().ordered()
     }
 
     /// Copies out and clears the buffered events, oldest first.
     pub fn drain(&self) -> Vec<QueryTrace> {
-        self.buf.lock().drain(..).collect()
+        let mut ring = self.ring.lock();
+        let events = ring.ordered();
+        ring.slots.clear();
+        ring.next = 0;
+        events
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.ring.lock().slots.len()
     }
 
     /// True when no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        self.ring.lock().slots.is_empty()
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, ev: &QueryTrace) {
-        let mut buf = self.buf.lock();
-        if buf.len() == self.cap {
-            buf.pop_front();
+        let mut ring = self.ring.lock();
+        let next = ring.next;
+        if ring.slots.len() < self.cap {
+            ring.slots.push(*ev);
+        } else {
+            ring.slots[next] = *ev;
         }
-        buf.push_back(ev.clone());
+        ring.next = (next + 1) % self.cap;
     }
 }
 
@@ -199,10 +248,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn ev(tag: &str) -> QueryTrace {
+    fn ev(tag: &'static str) -> QueryTrace {
         QueryTrace {
-            facility: tag.to_owned(),
-            predicate: "InSubset".to_owned(),
+            facility: tag,
+            predicate: "InSubset",
             d_q: 30,
             f_bits: Some(500),
             m_weight: Some(2),
@@ -236,7 +285,7 @@ mod tests {
     #[test]
     fn json_escapes_special_characters() {
         let mut e = ev("x");
-        e.predicate = "a\"b\\c\nd".to_owned();
+        e.predicate = "a\"b\\c\nd";
         let json = e.to_json();
         assert!(json.contains("a\\\"b\\\\c\\nd"));
     }
@@ -244,15 +293,20 @@ mod tests {
     #[test]
     fn ring_sink_drops_oldest_beyond_capacity() {
         let ring = RingSink::new(3);
-        for i in 0..5 {
-            ring.record(&ev(&format!("f{i}")));
+        let tags = ["f0", "f1", "f2", "f3", "f4", "f5", "f6"];
+        for tag in &tags[..5] {
+            ring.record(&ev(tag));
         }
-        let events = ring.snapshot();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].facility, "f2");
-        assert_eq!(events[2].facility, "f4");
-        assert_eq!(ring.drain().len(), 3);
+        let facilities =
+            |events: Vec<QueryTrace>| -> Vec<&str> { events.iter().map(|e| e.facility).collect() };
+        assert_eq!(facilities(ring.snapshot()), ["f2", "f3", "f4"]);
+        assert_eq!(facilities(ring.drain()), ["f2", "f3", "f4"]);
         assert!(ring.is_empty());
+        // Refilled after a drain: the ring starts over from its first slot.
+        for tag in &tags[5..] {
+            ring.record(&ev(tag));
+        }
+        assert_eq!(facilities(ring.snapshot()), ["f5", "f6"]);
     }
 
     #[test]
